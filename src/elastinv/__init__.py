@@ -18,8 +18,6 @@ from .fem import (
     SurfaceLoad,
     assemble,
     isotropic_stress,
-    solve_dirichlet,
-    solve_neumann,
 )
 from .ntd import (
     NtDOperator,
@@ -42,6 +40,7 @@ from .inversion import (
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
+    kv_value_and_gradient,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import dataclasses
 import sys
 
 from .experiments import (
+    EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
@@ -32,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="2D elasticity forward solves, operator checks, and Lame-parameter reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in ("example1", "example2", "example3", "monotonicity", "stability", "forward", "custom"):
+    for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="JSON config file (schema_version 1)")
         p.add_argument("--out", default=f"out_{kind}", help="output directory")

@@ -370,14 +370,14 @@ def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
     records, violations = [], []
     for i in range(config.n_pairs):
         pair = ntd.quadrant_pair(mesh, rng)
-        op_lo = ntd.build_ntd(mesh, pair.field_1)
-        op_hi = ntd.build_ntd(mesh, pair.field_2)
-        gap = ntd.loewner_gap(op_lo, op_hi, pair)
+        # one solver per field serves its NtD matrix and every sandwich load
+        s1 = ElasticitySolver(mesh, pair.field_1)
+        s2 = ElasticitySolver(mesh, pair.field_2)
+        gap = ntd.loewner_gap(ntd.ntd_from_solver(s1), ntd.ntd_from_solver(s2), pair)
         rec = {"pair": i, "loewner_gap": gap, "sandwich": []}
         if gap < -ntd.ORDER_TOL:
             violations.append({"pair": i, "kind": "loewner", "gap": gap})
-        for k, g in enumerate(loads):
-            lhs, mid, rhs = ntd.monotonicity_sandwich(mesh, pair, g)
+        for k, (lhs, mid, rhs) in enumerate(ntd.sandwich_from_solvers(s1, s2, loads)):
             scale = max(abs(mid), 1e-30)
             rec["sandwich"].append({"load": k, "lhs": lhs, "mid": mid, "rhs": rhs})
             if lhs < mid - ntd.ORDER_TOL * scale or mid < rhs - ntd.ORDER_TOL * scale:
@@ -407,9 +407,9 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
     mesh, _ = build_meshes(config)
     truth = truth_field(config.truth, mesh)
     solver = ElasticitySolver(mesh, truth)
+    sols = solver.solve_neumann_block([SurfaceLoad(constant=tuple(g)) for g in config.loads])
     traces = {}
-    for k, g in enumerate(config.loads):
-        sol = solver.solve_neumann(SurfaceLoad(constant=tuple(g)))
+    for k, (g, sol) in enumerate(zip(config.loads, sols)):
         traces[f"load_{k}"] = {
             "load": list(g),
             "trace": [[float(a), float(b)] for a, b in sol.trace_on_neumann],

@@ -10,6 +10,7 @@ FEM right-hand side.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +46,9 @@ class LameField:
             raise ValueError(f"invalid bounds {self.bounds}")
         if self.lam.shape != self.mu.shape or self.lam.ndim != 1:
             raise ValueError("lam and mu must be 1-d arrays of equal length")
+        # NaN passes the min/max bound checks below, so test finiteness first
+        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.mu))):
+            raise ValueError("lam and mu must be finite")
         if self.lam.min(initial=np.inf) < a or self.lam.max(initial=-np.inf) > b:
             raise ValueError("lam outside admissible bounds")
         if self.mu.min(initial=np.inf) < c or self.mu.max(initial=-np.inf) > d:
@@ -116,11 +120,17 @@ class AssembledSystem:
     free_dofs: np.ndarray  # global dof index per unknown
 
 
-class ElementGeometry:
-    """Per-element shape-function gradients; depends only on the mesh."""
+class Discretization:
+    """Mesh-only data of the P1 space: element gradients, dof sets, boundary mass.
+
+    Built once per mesh by `discretization` and shared by every solver on that
+    mesh.  It keeps no reference to the mesh, so the per-mesh cache does not
+    keep meshes alive.
+    """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        self.triangles = mesh.triangles
+        self.n_dofs = 2 * mesh.n_nodes
         p = mesh.nodes[mesh.triangles]  # (n_el, 3, 2)
         x, y = p[..., 0], p[..., 1]
         # gradients of barycentric coordinates
@@ -133,9 +143,21 @@ class ElementGeometry:
             [x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1
         ) / two_a[:, None]
 
+        if len(mesh.dirichlet_nodes) == 0:
+            raise FemError("mesh has no Dirichlet boundary; problem is singular")
+        dirichlet_dofs = np.concatenate([2 * mesh.dirichlet_nodes, 2 * mesh.dirichlet_nodes + 1])
+        self.free_dofs = np.setdiff1d(np.arange(self.n_dofs), dirichlet_dofs)
+        # interleaved (x, y) dofs of mesh.neumann_nodes: the layout of load
+        # coefficients and traces; sorted, since the nodes are
+        self.trace_dofs = np.empty(2 * len(mesh.neumann_nodes), dtype=np.int64)
+        self.trace_dofs[0::2] = 2 * mesh.neumann_nodes
+        self.trace_dofs[1::2] = 2 * mesh.neumann_nodes + 1
+        self.interior_dofs = np.setdiff1d(self.free_dofs, self.trace_dofs)
+        self.boundary_mass = neumann_mass_matrix(mesh)
+
     def strains(self, displacement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-element symmetric strain (n_el, 2, 2) and divergence (n_el,)."""
-        u = displacement[self.mesh.triangles]  # (n_el, 3, 2)
+        u = displacement[self.triangles]  # (n_el, 3, 2)
         exx = np.einsum("ej,ej->e", self.bx, u[..., 0])
         eyy = np.einsum("ej,ej->e", self.by, u[..., 1])
         exy = 0.5 * (
@@ -147,6 +169,19 @@ class ElementGeometry:
         strain[:, 1, 1] = eyy
         strain[:, 0, 1] = strain[:, 1, 0] = exy
         return strain, exx + eyy
+
+
+# meshes are not modified after construction (their own cached properties
+# assume the same), so mesh-only data is built once per mesh object
+_DISCRETIZATIONS: "weakref.WeakKeyDictionary[Mesh, Discretization]" = weakref.WeakKeyDictionary()
+
+
+def discretization(mesh: Mesh) -> Discretization:
+    """The Discretization of mesh, built on first use and kept while mesh lives."""
+    disc = _DISCRETIZATIONS.get(mesh)
+    if disc is None:
+        disc = _DISCRETIZATIONS[mesh] = Discretization(mesh)
+    return disc
 
 
 def isotropic_stress(lam: float, mu: float, strain: np.ndarray) -> np.ndarray:
@@ -164,23 +199,23 @@ def strain_energy_density(field: LameField, strain: np.ndarray, div: np.ndarray)
 def assemble_stiffness(mesh: Mesh, field: LameField) -> sp.csr_matrix:
     """Full (unconstrained) stiffness matrix, dofs interleaved (2*node + comp)."""
     field.check_mesh(mesh)
-    geo = ElementGeometry(mesh)
+    disc = discretization(mesh)
     n_el = mesh.n_elements
-    lam, mu, area = field.lam, field.mu, geo.area
+    lam, mu = field.lam, field.mu
 
     # B maps the 6 nodal dofs to Voigt strain (exx, eyy, 2 exy)
     B = np.zeros((n_el, 3, 6))
-    B[:, 0, 0::2] = geo.bx
-    B[:, 1, 1::2] = geo.by
-    B[:, 2, 0::2] = geo.by
-    B[:, 2, 1::2] = geo.bx
+    B[:, 0, 0::2] = disc.bx
+    B[:, 1, 1::2] = disc.by
+    B[:, 2, 0::2] = disc.by
+    B[:, 2, 1::2] = disc.bx
 
     D = np.zeros((n_el, 3, 3))
     D[:, 0, 0] = D[:, 1, 1] = lam + 2.0 * mu
     D[:, 0, 1] = D[:, 1, 0] = lam
     D[:, 2, 2] = mu
 
-    ke = np.einsum("e,eji,ejk,ekl->eil", area, B, D, B, optimize=True)
+    ke = np.einsum("e,eji,ejk,ekl->eil", disc.area, B, D, B, optimize=True)
     ke = 0.5 * (ke + ke.transpose(0, 2, 1))  # exact symmetry despite fp rounding
 
     dofs = np.empty((n_el, 6), dtype=np.int64)
@@ -188,9 +223,7 @@ def assemble_stiffness(mesh: Mesh, field: LameField) -> sp.csr_matrix:
     dofs[:, 1::2] = 2 * mesh.triangles + 1
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    K = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(2 * mesh.n_nodes, 2 * mesh.n_nodes)
-    ).tocsr()
+    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(disc.n_dofs, disc.n_dofs)).tocsr()
     # duplicate summation order can differ between (i, j) and (j, i);
     # symmetrize so K == K.T holds exactly
     return ((K + K.T) * 0.5).tocsr()
@@ -201,59 +234,67 @@ def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
 
     Size (2m, 2m) with m = len(mesh.neumann_nodes); realizes the L2 inner
     product of piecewise linear traces vanishing at the clamped interface.
+    Entries are listed edge by edge, (a, a), (b, b), (a, b), (b, a), each
+    for both components, so duplicates are summed in a fixed order.
     """
     nn = mesh.neumann_nodes
-    pos = {int(n): i for i, n in enumerate(nn)}
-    rows, cols, vals = [], [], []
-    for a, b in mesh.neumann_edges:
-        length = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
-        local = [(a, a, 2.0), (b, b, 2.0), (a, b, 1.0), (b, a, 1.0)]
-        for u, v, w in local:
-            if int(u) in pos and int(v) in pos:
-                for comp in (0, 1):
-                    rows.append(2 * pos[int(u)] + comp)
-                    cols.append(2 * pos[int(v)] + comp)
-                    vals.append(w * length / 6.0)
+    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    pos[nn] = np.arange(len(nn))
+    a, b = mesh.neumann_edges.T
+    d = mesh.nodes[b] - mesh.nodes[a]
+    # row-wise dot products, the arithmetic of np.linalg.norm on one edge
+    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+    u = pos[np.stack([a, b, a, b], axis=1)]  # (edges, 4) local entry rows
+    v = pos[np.stack([a, b, b, a], axis=1)]
+    vals = np.array([2.0, 2.0, 1.0, 1.0]) * length[:, None] / 6.0
+    # an entry touching a clamped-interface node (pos -1) is dropped
+    keep = (u >= 0) & (v >= 0)
+    comp = np.array([0, 1])
+    rows = (2 * u[..., None] + comp)[keep]
+    cols = (2 * v[..., None] + comp)[keep]
+    vals = np.repeat(vals[..., None], 2, axis=2)[keep]
     m = 2 * len(nn)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m)).tocsr()
+
+
+def _check_residuals(A, X: np.ndarray, B: np.ndarray) -> None:
+    """Raise FemError unless every column of X solves A x = b to SOLVER_RTOL.
+
+    Each column is judged against its own right-hand side: one norm over the
+    block would let a small load's failed solve hide behind a large one.
+    """
+    rel = np.linalg.norm(A @ X - B, axis=0) / np.maximum(np.linalg.norm(B, axis=0), 1.0e-300)
+    bad = ~(rel <= SOLVER_RTOL)  # NaN counts as failed
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise FemError(f"linear solve failed, relative residual {rel[j]:.3e} in column {j}")
 
 
 class ElasticitySolver:
-    """Forward and Dirichlet-data solves sharing one stiffness per field.
+    """Traction and prescribed-trace solves sharing one stiffness per field.
 
-    Factorizations are built lazily and reused across loads; they are
-    immutable once constructed.
+    Every solve takes a block of right-hand sides, one column per load or
+    trace, against one factorization per boundary partition.  Factorizations
+    are built lazily and reused across blocks; they are immutable once
+    constructed.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
         field.check_mesh(mesh)
         self.mesh = mesh
         self.field = field
-        self.geometry = ElementGeometry(mesh)
+        self.disc = discretization(mesh)
         self.K = assemble_stiffness(mesh, field)
-
-        n = mesh.n_nodes
-        dir_dofs = np.concatenate([2 * mesh.dirichlet_nodes, 2 * mesh.dirichlet_nodes + 1])
-        self.dirichlet_dofs = np.sort(dir_dofs)
-        neu_dofs = np.concatenate([2 * mesh.neumann_nodes, 2 * mesh.neumann_nodes + 1])
-        self.neumann_trace_dofs = np.sort(neu_dofs)
-        all_dofs = np.arange(2 * n)
-        self.free_dofs = np.setdiff1d(all_dofs, self.dirichlet_dofs)
-        self.interior_dofs = np.setdiff1d(self.free_dofs, self.neumann_trace_dofs)
-        if len(self.dirichlet_dofs) == 0:
-            raise FemError("mesh has no Dirichlet boundary; problem is singular")
-
-    @cached_property
-    def boundary_mass(self) -> sp.csr_matrix:
-        return neumann_mass_matrix(self.mesh)
 
     @cached_property
     def K_free(self) -> sp.csr_matrix:
-        return self.K[np.ix_(self.free_dofs, self.free_dofs)].tocsr()
+        free = self.disc.free_dofs
+        return self.K[np.ix_(free, free)].tocsr()
 
     @cached_property
     def K_interior(self) -> sp.csr_matrix:
-        return self.K[np.ix_(self.interior_dofs, self.interior_dofs)].tocsr()
+        interior = self.disc.interior_dofs
+        return self.K[np.ix_(interior, interior)].tocsr()
 
     @cached_property
     def _neumann_factor(self):
@@ -263,22 +304,9 @@ class ElasticitySolver:
     def _dirichlet_factor(self):
         return spla.splu(self.K_interior.tocsc())
 
-    # -- load handling ----------------------------------------------------
-
-    def load_vector(self, load: SurfaceLoad) -> np.ndarray:
-        """Global right-hand side b with b|_free = restriction of M g."""
-        g = load.nodal_values(self.mesh).ravel()
-        bg = self.boundary_mass @ g
-        b = np.zeros(2 * self.mesh.n_nodes)
-        idx = np.empty(2 * len(self.mesh.neumann_nodes), dtype=np.int64)
-        idx[0::2] = 2 * self.mesh.neumann_nodes
-        idx[1::2] = 2 * self.mesh.neumann_nodes + 1
-        b[idx] = bg
-        return b
-
     def _package(self, u_flat: np.ndarray) -> ForwardSolution:
         u = u_flat.reshape(-1, 2)
-        strain, div = self.geometry.strains(u)
+        strain, div = self.disc.strains(u)
         return ForwardSolution(
             displacement=u,
             trace_on_neumann=u[self.mesh.neumann_nodes],
@@ -286,80 +314,85 @@ class ElasticitySolver:
             per_element_div=div,
         )
 
-    def _check_residual(self, A, x, b):
-        r = A @ x - b
-        scale = max(np.linalg.norm(b), 1.0e-300)
-        rel = np.linalg.norm(r) / scale
-        if not np.isfinite(rel) or rel > SOLVER_RTOL:
-            raise FemError(f"linear solve failed, relative residual {rel:.3e}")
-
-    # -- solves -----------------------------------------------------------
-
     @staticmethod
-    def _solve_refined(factor, K, b):
+    def _solve_refined(factor, K, B: np.ndarray) -> np.ndarray:
         # one step of iterative refinement keeps the relative residual at
         # machine level even for ill-conditioned partitions
-        x = factor.solve(b)
-        x += factor.solve(b - K @ x)
-        return x
+        X = factor.solve(B)
+        X += factor.solve(B - K @ X)
+        _check_residuals(K, X, B)
+        return X
+
+    # -- traction (Neumann) solves -----------------------------------------
+
+    def load_block(self, coeffs: np.ndarray) -> np.ndarray:
+        """Free-dof right-hand sides M g for load coefficient columns (2m, k)."""
+        disc = self.disc
+        B = np.zeros((disc.n_dofs, coeffs.shape[1]))
+        B[disc.trace_dofs] = disc.boundary_mass @ coeffs
+        return B[disc.free_dofs]
+
+    def neumann_displacements(self, coeffs: np.ndarray) -> np.ndarray:
+        """Traction solves for load coefficient columns (2m, k); nodal dofs (2n, k)."""
+        U = np.zeros((self.disc.n_dofs, coeffs.shape[1]))
+        U[self.disc.free_dofs] = self._solve_refined(
+            self._neumann_factor, self.K_free, self.load_block(coeffs)
+        )
+        return U
+
+    def solve_neumann_block(self, loads: list[SurfaceLoad]) -> list[ForwardSolution]:
+        """Traction problems, one per load: loaded Neumann part, clamped elsewhere."""
+        coeffs = np.column_stack([g.nodal_values(self.mesh).ravel() for g in loads])
+        return [self._package(u) for u in self.neumann_displacements(coeffs).T]
 
     def solve_neumann(self, load: SurfaceLoad) -> ForwardSolution:
         """Solve the traction problem: load on the Neumann part, clamped elsewhere."""
-        b = self.load_vector(load)
-        bf = b[self.free_dofs]
-        uf = self._solve_refined(self._neumann_factor, self.K_free, bf)
-        self._check_residual(self.K_free, uf, bf)
-        u = np.zeros(2 * self.mesh.n_nodes)
-        u[self.free_dofs] = uf
-        return self._package(u)
+        return self.solve_neumann_block([load])[0]
+
+    # -- prescribed-trace (Dirichlet) solves -------------------------------
+
+    def solve_dirichlet_block(self, traces: list[np.ndarray]) -> list[ForwardSolution]:
+        """Solve with each prescribed displacement trace on the Neumann nodes.
+
+        Each trace is an (m, 2) array on mesh.neumann_nodes; the clamped part
+        stays zero and the equation holds against interior test functions.
+        """
+        disc = self.disc
+        m = len(self.mesh.neumann_nodes)
+        U = np.zeros((disc.n_dofs, len(traces)))
+        for j, trace in enumerate(traces):
+            trace = np.asarray(trace, dtype=float)
+            if trace.shape != (m, 2) or not np.all(np.isfinite(trace)):
+                raise FemError(f"trace data must be a finite ({m}, 2) array")
+            U[disc.trace_dofs, j] = trace.ravel()
+        B = -(self.K @ U)[disc.interior_dofs]
+        U[disc.interior_dofs] = self._solve_refined(self._dirichlet_factor, self.K_interior, B)
+        return [self._package(u) for u in U.T]
 
     def solve_dirichlet(self, trace_data: np.ndarray) -> ForwardSolution:
-        """Solve with prescribed displacement trace_data on the Neumann nodes.
-
-        trace_data: (m, 2) array on mesh.neumann_nodes; the clamped part stays
-        zero and the equation holds against interior test functions.
-        """
-        trace_data = np.asarray(trace_data, dtype=float)
-        m = len(self.mesh.neumann_nodes)
-        if trace_data.shape != (m, 2) or not np.all(np.isfinite(trace_data)):
-            raise FemError(f"trace data must be a finite ({m}, 2) array")
-        u = np.zeros(2 * self.mesh.n_nodes)
-        idx = np.empty(2 * m, dtype=np.int64)
-        idx[0::2] = 2 * self.mesh.neumann_nodes
-        idx[1::2] = 2 * self.mesh.neumann_nodes + 1
-        u[idx] = trace_data.ravel()
-        b = -(self.K @ u)[self.interior_dofs]
-        ui = self._solve_refined(self._dirichlet_factor, self.K_interior, b)
-        self._check_residual(self.K_interior, ui, b)
-        u[self.interior_dofs] = ui
-        return self._package(u)
+        """Solve with prescribed displacement trace_data, (m, 2), on the Neumann nodes."""
+        return self.solve_dirichlet_block([trace_data])[0]
 
     # -- energies ---------------------------------------------------------
 
     def interior_energy(self, sol: ForwardSolution) -> float:
         """Exact volume integral of C(strain):strain over the mesh."""
         dens = strain_energy_density(self.field, sol.per_element_strain, sol.per_element_div)
-        return float(np.dot(self.geometry.area, dens))
+        return float(np.dot(self.disc.area, dens))
 
     def boundary_pairing(self, load: SurfaceLoad, sol: ForwardSolution) -> float:
         """Boundary integral of load . trace over the Neumann part."""
         g = load.nodal_values(self.mesh).ravel()
         t = sol.trace_on_neumann.ravel()
-        return float(g @ (self.boundary_mass @ t))
+        return float(g @ (self.disc.boundary_mass @ t))
 
 
 def assemble(mesh: Mesh, field: LameField, load: SurfaceLoad) -> AssembledSystem:
     """Reduced SPD system for the traction problem (Dirichlet dofs eliminated)."""
     solver = ElasticitySolver(mesh, field)
-    b = solver.load_vector(load)
+    coeffs = load.nodal_values(mesh).reshape(-1, 1)
     return AssembledSystem(
-        stiffness=solver.K_free, load=b[solver.free_dofs], free_dofs=solver.free_dofs
+        stiffness=solver.K_free,
+        load=solver.load_block(coeffs)[:, 0],
+        free_dofs=solver.disc.free_dofs,
     )
-
-
-def solve_neumann(mesh: Mesh, field: LameField, load: SurfaceLoad) -> ForwardSolution:
-    return ElasticitySolver(mesh, field).solve_neumann(load)
-
-
-def solve_dirichlet(mesh: Mesh, field: LameField, trace_data: np.ndarray) -> ForwardSolution:
-    return ElasticitySolver(mesh, field).solve_dirichlet(trace_data)

@@ -79,7 +79,7 @@ def generate_measurements(
     reproducible per (epsilon, seed).
     """
     solver = ElasticitySolver(mesh, field)
-    traces = [solver.solve_neumann(g).trace_on_neumann for g in loads]
+    traces = [sol.trace_on_neumann for sol in solver.solve_neumann_block(loads)]
     if noise is not None and noise.epsilon > 0.0:
         rng = np.random.default_rng(noise.seed)
         noisy = []
@@ -121,53 +121,52 @@ def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndar
 # -- functional and gradient ---------------------------------------------
 
 
-def _solve_pairs(mesh: Mesh, field: LameField, measurements: MeasurementSet):
-    solver = ElasticitySolver(mesh, field)
-    return solver, [
-        (solver.solve_neumann(g), solver.solve_dirichlet(f))
-        for g, f in measurements.pairs
-    ]
-
-
-def kohn_vogelius(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> float:
-    """Energy misfit between traction and prescribed-trace solves, regularized.
+def kv_value_and_gradient(
+    field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Kohn-Vogelius misfit J and its analytic per-element gradient.
 
     J = sum_k int C(strain(uN - uD)) : strain(uN - uD)
-        + (rho/2) int (lam^2 + mu^2).
-    """
-    _, sols = _solve_pairs(mesh, field, measurements)
-    area = mesh.element_areas
-    total = 0.0
-    for u_n, u_d in sols:
-        dstrain = u_n.per_element_strain - u_d.per_element_strain
-        ddiv = u_n.per_element_div - u_d.per_element_div
-        total += float(np.dot(area, strain_energy_density(field, dstrain, ddiv)))
-    if rho:
-        total += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
-    return total
-
-
-def kv_gradient(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic per-element derivatives (dJ/dlam_e, dJ/dmu_e).
-
-    Per element the derivative is the difference of the solution energies,
+        + (rho/2) int (lam^2 + mu^2),
+    where uN solves the traction problem for load g_k and uD the
+    prescribed-trace problem for trace f_k.  Per element the derivative is
+    the difference of the solution energies,
       dJ/dlam_e = sum_k [ div(uD)^2 - div(uN)^2 ] * area_e,
       dJ/dmu_e  = sum_k [ 2 strain(uD):strain(uD) - 2 strain(uN):strain(uN) ] * area_e,
     plus the regularizer terms rho * lam_e * area_e and rho * mu_e * area_e.
+    One solver serves both: all loads are one traction block, all traces one
+    prescribed-trace block.  Returns (J, dJ/dlam, dJ/dmu).
     """
-    _, sols = _solve_pairs(mesh, field, measurements)
+    solver = ElasticitySolver(mesh, field)
+    neumann = solver.solve_neumann_block([g for g, _ in measurements.pairs])
+    dirichlet = solver.solve_dirichlet_block([f for _, f in measurements.pairs])
     area = mesh.element_areas
+    j = 0.0
     g_lam = np.zeros(mesh.n_elements)
     g_mu = np.zeros(mesh.n_elements)
-    for u_n, u_d in sols:
+    for u_n, u_d in zip(neumann, dirichlet):
+        dstrain = u_n.per_element_strain - u_d.per_element_strain
+        ddiv = u_n.per_element_div - u_d.per_element_div
+        j += float(np.dot(area, strain_energy_density(field, dstrain, ddiv)))
         ss_n = np.einsum("eij,eij->e", u_n.per_element_strain, u_n.per_element_strain)
         ss_d = np.einsum("eij,eij->e", u_d.per_element_strain, u_d.per_element_strain)
         g_lam += (u_d.per_element_div**2 - u_n.per_element_div**2) * area
         g_mu += 2.0 * (ss_d - ss_n) * area
     if rho:
+        j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
         g_lam += rho * field.lam * area
         g_mu += rho * field.mu * area
-    return g_lam, g_mu
+    return j, g_lam, g_mu
+
+
+def kohn_vogelius(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> float:
+    """The misfit J of kv_value_and_gradient."""
+    return kv_value_and_gradient(field, mesh, measurements, rho)[0]
+
+
+def kv_gradient(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The per-element derivatives (dJ/dlam_e, dJ/dmu_e) of kv_value_and_gradient."""
+    return kv_value_and_gradient(field, mesh, measurements, rho)[1:]
 
 
 # -- parameterizations ----------------------------------------------------
@@ -317,8 +316,7 @@ def bfgs_minimize(
         except ValueError:
             # outside the admissible box; backtrack
             return np.inf, None, None
-        j = kohn_vogelius(field, mesh, measurements, config.rho)
-        g_lam, g_mu = kv_gradient(field, mesh, measurements, config.rho)
+        j, g_lam, g_mu = kv_value_and_gradient(field, mesh, measurements, config.rho)
         return j, parameterization.reduce_gradient(g_lam, g_mu), field
 
     x = project(np.asarray(x0, dtype=float).copy())

@@ -171,10 +171,17 @@ class Mesh:
         it = iter(tokens)
 
         def block(name, width):
-            head = next(it)
-            if head[0] != name:
-                raise MeshError(f"expected {name} block, got {head[0]!r}")
-            return [next(it) for _ in range(int(head[1]))]
+            try:
+                head = next(it)
+                if head[0] != name:
+                    raise MeshError(f"expected {name} block, got {head[0]!r}")
+                rows = [next(it) for _ in range(int(head[1]))]
+            except (StopIteration, IndexError) as exc:
+                # the file ends before the block, or before the rows its header promises
+                raise MeshError(f"truncated mesh file {path}: incomplete {name} block") from exc
+            if any(len(row) < width for row in rows):
+                raise MeshError(f"truncated mesh file {path}: short row in {name} block")
+            return rows
 
         nodes = np.array([[float(v) for v in row] for row in block("nodes", 2)])
         tris = np.array([[int(v) for v in row] for row in block("triangles", 3)])

@@ -224,16 +224,19 @@ def test_criterion_9_per_element_examples():
     row3 = b3.report["table"][0]
     drop2 = row2["initial_j"] / max(row2["final_j"], 1e-300)
     drop3 = row3["initial_j"] / max(row3["final_j"], 1e-300)
-    worst_bump = max(
+    offsets = [
         np.hypot(cx - tx, cy - ty)
         for (cx, cy), (tx, ty) in zip(row3["bump_centroids"], [(0.5, 0.5), (-0.5, -0.5)])
-    )
-    ok = drop2 >= 1e3 and drop3 >= 1e3 and worst_bump <= 0.25 and elapsed <= 3600.0
+    ]
+    # max() would skip a NaN offset (a half with no top-decile element)
+    bumps_ok = all(np.isfinite(d) and d <= 0.25 for d in offsets)
+    ok = drop2 >= 1e3 and drop3 >= 1e3 and bumps_ok and elapsed <= 3600.0
     report(
         9,
         ok,
         f"noise-free per-element runs: J drop {drop2:.1e} / {drop3:.1e} (min 1e3), "
-        f"worst bump-centroid offset {worst_bump:.3f} (tol 0.25), runtime {elapsed:.0f}s",
+        f"bump-centroid offsets {', '.join(f'{d:.3f}' for d in offsets)} (each tol 0.25), "
+        f"runtime {elapsed:.0f}s",
     )
 
 

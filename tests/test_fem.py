@@ -1,5 +1,10 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +15,12 @@ from elastinv.fem import (
     SurfaceLoad,
     assemble,
     assemble_stiffness,
+    discretization,
     isotropic_stress,
+    neumann_mass_matrix,
 )
+from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
+from conftest import random_field, random_trace
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 positive = st.floats(0.1, 100.0, allow_nan=False)
@@ -46,6 +55,14 @@ class TestLameField:
             LameField(np.array([1.0]), np.array([2.0]), bounds=(0.1, 1.0, 0.1, 1.0))
         with pytest.raises(ValueError):
             LameField(np.array([1.0]), np.array([1.0]), bounds=(0.0, 1.0, 0.1, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # NaN slips through min/max bound checks, so it needs its own guard
+        with pytest.raises(ValueError):
+            LameField([bad, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            LameField([1.0, 1.0], [1.0, bad])
 
     def test_mesh_size_guard(self, medium_mesh):
         field = LameField.constant(1.0, 1.0, medium_mesh.n_elements + 1)
@@ -131,10 +148,11 @@ class TestNeumannSolve:
 
     def test_galerkin_residual(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        b = solver.load_vector(SurfaceLoad(constant=(0.1, 0.2)))
-        sol = solver.solve_neumann(SurfaceLoad(constant=(0.1, 0.2)))
-        r = solver.K_free @ sol.displacement.ravel()[solver.free_dofs] - b[solver.free_dofs]
-        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b[solver.free_dofs])
+        g = SurfaceLoad(constant=(0.1, 0.2))
+        b = solver.load_block(g.nodal_values(medium_mesh).reshape(-1, 1))[:, 0]
+        sol = solver.solve_neumann(g)
+        r = solver.K_free @ sol.displacement.ravel()[solver.disc.free_dofs] - b
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
         sol = ElasticitySolver(medium_mesh, field_37).solve_neumann(
@@ -186,3 +204,88 @@ def test_monotone_boundary_energy(medium_mesh):
     e_small = small.boundary_pairing(g, small.solve_neumann(g))
     e_large = large.boundary_pairing(g, large.solve_neumann(g))
     assert e_large <= e_small
+
+
+def _loop_boundary_mass(mesh):
+    """Per-edge loop construction of the Neumann boundary mass matrix."""
+    nn = mesh.neumann_nodes
+    pos = {int(n): i for i, n in enumerate(nn)}
+    rows, cols, vals = [], [], []
+    for a, b in mesh.neumann_edges:
+        length = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
+        local = [(a, a, 2.0), (b, b, 2.0), (a, b, 1.0), (b, a, 1.0)]
+        for u, v, w in local:
+            if int(u) in pos and int(v) in pos:
+                for comp in (0, 1):
+                    rows.append(2 * pos[int(u)] + comp)
+                    cols.append(2 * pos[int(v)] + comp)
+                    vals.append(w * length / 6.0)
+    m = 2 * len(nn)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
+
+
+@pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
+@pytest.mark.parametrize("arc", [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)])
+def test_boundary_mass_matches_loop_reference(h, arc):
+    mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
+    M, ref = neumann_mass_matrix(mesh), _loop_boundary_mass(mesh)
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.data, ref.data)
+
+
+class TestBlockSolves:
+    @pytest.fixture
+    def quarter_mesh(self, fine_mesh):
+        # clamped upper-left quarter: the partition of example3
+        return partition_boundary(fine_mesh, BoundaryPartitionSpec(math.pi / 2.0, math.pi))
+
+    def test_neumann_block_equals_columns(self, quarter_mesh):
+        rng = np.random.default_rng(21)
+        solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
+        loads = [SurfaceLoad(nodal=random_trace(quarter_mesh, rng)) for _ in range(6)]
+        loads.append(SurfaceLoad(constant=(0.3, 0.5)))
+        for block, g in zip(solver.solve_neumann_block(loads), loads):
+            col = solver.solve_neumann(g).displacement
+            assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
+
+    def test_dirichlet_block_equals_columns(self, quarter_mesh):
+        rng = np.random.default_rng(22)
+        solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
+        traces = [random_trace(quarter_mesh, rng) for _ in range(6)]
+        for block, f in zip(solver.solve_dirichlet_block(traces), traces):
+            col = solver.solve_dirichlet(f).displacement
+            assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
+
+    def test_bad_column_fails_despite_block_norm(self, medium_mesh, field_37):
+        """A failed small-load column raises although the block-wide residual is tiny."""
+        solver = ElasticitySolver(medium_mesh, field_37)
+        exact = solver._neumann_factor
+
+        class Corrupting:
+            def solve(self, b):
+                x = exact.solve(b)
+                x[:, 1] *= 1.0 + 1e-6
+                return x
+
+        solver._neumann_factor = Corrupting()
+        loads = [SurfaceLoad(constant=(1e6, 1e6)), SurfaceLoad(constant=(1e-6, 1e-6))]
+        B = solver.load_block(np.column_stack([g.nodal_values(medium_mesh).ravel() for g in loads]))
+        X = Corrupting().solve(B)
+        block_rel = np.linalg.norm(solver.K_free @ X - B) / np.linalg.norm(B)
+        assert block_rel <= 1e-12  # one norm over the block would accept this solve
+        with pytest.raises(FemError, match="column 1"):
+            solver.solve_neumann_block(loads)
+
+    def test_mesh_data_shared_between_solvers(self, medium_mesh, field_37, field_11):
+        a = ElasticitySolver(medium_mesh, field_37)
+        b = ElasticitySolver(medium_mesh, field_11)
+        assert a.disc is b.disc is discretization(medium_mesh)
+
+    def test_mesh_data_does_not_keep_mesh_alive(self):
+        mesh = generate_disk_mesh(0.25)
+        ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))
+        ref = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert ref() is None

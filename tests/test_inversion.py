@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastinv.fem import LameField, SurfaceLoad
+from elastinv import fem
+from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
 from elastinv.inversion import (
     ConstantParameterization,
     InversionConfig,
@@ -16,6 +17,7 @@ from elastinv.inversion import (
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
+    kv_value_and_gradient,
     transfer_trace,
 )
 from elastinv.mesh import Mesh
@@ -92,6 +94,40 @@ class TestKohnVogelius:
     def test_frozen_regression(self, medium_mesh, field_11, crime_measurements):
         j = kohn_vogelius(field_11, medium_mesh, crime_measurements, 0.0)
         assert np.isclose(j, KV_11_AGAINST_37, rtol=1e-9)
+
+
+class TestEvaluationWork:
+    """One evaluation of J and its gradient builds one solver and factorizes once per partition."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"solvers": 0, "splu": 0}
+        init, splu = ElasticitySolver.__init__, fem.spla.splu
+
+        def counting_init(self, *args):
+            counts["solvers"] += 1
+            init(self, *args)
+
+        def counting_splu(*args, **kwargs):
+            counts["splu"] += 1
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(ElasticitySolver, "__init__", counting_init)
+        monkeypatch.setattr(fem.spla, "splu", counting_splu)
+        return counts
+
+    def test_fused_evaluation(self, medium_mesh, field_11, crime_measurements, counts):
+        j, g_lam, g_mu = kv_value_and_gradient(field_11, medium_mesh, crime_measurements, 1e-3)
+        assert counts == {"solvers": 1, "splu": 2}
+        assert j == kohn_vogelius(field_11, medium_mesh, crime_measurements, 1e-3)
+        g_ref = kv_gradient(field_11, medium_mesh, crime_measurements, 1e-3)
+        assert np.array_equal(g_lam, g_ref[0]) and np.array_equal(g_mu, g_ref[1])
+
+    def test_optimizer_evaluation(self, medium_mesh, crime_measurements, counts):
+        param = ConstantParameterization(medium_mesh)
+        config = InversionConfig(max_iterations=0)
+        bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+        assert counts == {"solvers": 1, "splu": 2}
 
 
 class TestGradient:

@@ -147,6 +147,20 @@ def test_save_load_roundtrip(tmp_path, medium_mesh):
     assert loaded.edge_tags == medium_mesh.edge_tags
 
 
+def test_truncated_file_rejected(tmp_path, medium_mesh):
+    full = tmp_path / "mesh.txt"
+    medium_mesh.save(full)
+    lines = full.read_text().splitlines()
+    half = tmp_path / "half.txt"
+    half.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    with pytest.raises(MeshError, match="truncated"):
+        Mesh.load(half)
+    short_row = tmp_path / "short_row.txt"
+    short_row.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")
+    with pytest.raises(MeshError, match="truncated"):
+        Mesh.load(short_row)
+
+
 def test_invalid_mesh_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):

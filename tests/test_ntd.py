@@ -13,6 +13,7 @@ from elastinv.ntd import (
     operator_distance,
     parameter_distance,
     quadrant_pair,
+    sandwich_from_solvers,
     stability_ratio_experiment,
 )
 from conftest import random_field
@@ -63,6 +64,18 @@ def test_custom_basis_columns(medium_mesh, field_37):
         assert np.array_equal(probe.matrix[:, j], trace)
 
 
+def test_block_build_equals_columns(medium_mesh):
+    field = random_field(medium_mesh, np.random.default_rng(12))
+    op = build_ntd(medium_mesh, field)
+    solver = ElasticitySolver(medium_mesh, field)
+    m = len(medium_mesh.neumann_nodes)
+    for j in range(2 * m):
+        g = np.zeros((m, 2))
+        g[j // 2, j % 2] = 1.0
+        col = solver.solve_neumann(SurfaceLoad(nodal=g)).trace_on_neumann.ravel()
+        assert np.abs(op.matrix[:, j] - col).max() <= 1e-13 * np.abs(col).max()
+
+
 class TestOrderedPair:
     def test_unordered_rejected(self, medium_mesh, field_37, field_11):
         mixed = LameField.constant(5.0, 0.5, medium_mesh.n_elements)
@@ -103,6 +116,16 @@ class TestSandwich:
         )
         assert np.isclose(mid_ba, -mid_ab, rtol=1e-12)
         assert lhs_ba >= mid_ba >= rhs_ba  # inequality holds in either labeling
+
+
+def test_sandwich_block_equals_per_load(medium_mesh, field_37, field_11):
+    loads = [SurfaceLoad(constant=(0.1, 0.1)), SurfaceLoad(constant=(0.3, 0.5))]
+    pair = OrderedPair(field_11, field_37, "LEQ")
+    block = sandwich_from_solvers(
+        ElasticitySolver(medium_mesh, field_11), ElasticitySolver(medium_mesh, field_37), loads
+    )
+    for terms, g in zip(block, loads):
+        assert np.allclose(terms, monotonicity_sandwich(medium_mesh, pair, g), rtol=1e-12, atol=0.0)
 
 
 class TestLoewner:

@@ -20,6 +20,7 @@ from .fem import (
     ElasticitySolver,
     LameField,
     SurfaceLoad,
+    release_free_heap,
     strain_energy_density,
 )
 from .mesh import Mesh
@@ -156,6 +157,10 @@ def kv_value_and_gradient(
         j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
         g_lam += rho * field.lam * area
         g_mu += rho * field.mu * area
+    # free both factorizations, then hand their pages back, so that the peak
+    # RSS of a long optimizer run does not depend on where they were placed
+    del solver
+    release_free_heap()
     return j, g_lam, g_mu
 
 

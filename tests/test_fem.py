@@ -1,5 +1,7 @@
+import ctypes
 import gc
 import math
+import os
 import weakref
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastinv import fem
 from elastinv.fem import (
     ElasticitySolver,
     FemError,
@@ -18,6 +21,7 @@ from elastinv.fem import (
     discretization,
     isotropic_stress,
     neumann_mass_matrix,
+    release_free_heap,
 )
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from conftest import random_field, random_trace
@@ -289,3 +293,31 @@ class TestBlockSolves:
         del mesh
         gc.collect()
         assert ref() is None
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(fem._MALLOC_TRIM is None, reason="needs glibc malloc_trim")
+def test_release_free_heap_returns_pages():
+    # 64 KiB blocks come from the heap (glibc maps only blocks of at least
+    # 128 KiB); freeing every other one leaves free chunks between live ones,
+    # whose pages free() itself keeps
+    libc = ctypes.CDLL(None)
+    libc.malloc.restype = ctypes.c_void_p
+    libc.malloc.argtypes = (ctypes.c_size_t,)
+    libc.free.argtypes = (ctypes.c_void_p,)
+    size = 64 << 10
+    blocks = [libc.malloc(size) for _ in range(128)]
+    for p in blocks:
+        ctypes.memset(p, 1, size)
+    for p in blocks[0::2]:
+        libc.free(p)
+    before = _resident_bytes()
+    release_free_heap()
+    after = _resident_bytes()
+    for p in blocks[1::2]:
+        libc.free(p)
+    assert before - after >= 2 << 20  # 4 MiB were freed

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastinv import fem
+from elastinv import fem, inversion
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
 from elastinv.inversion import (
     ConstantParameterization,
@@ -128,6 +130,22 @@ class TestEvaluationWork:
         config = InversionConfig(max_iterations=0)
         bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         assert counts == {"solvers": 1, "splu": 2}
+
+    def test_heap_released_after_factorizations(self, medium_mesh, field_11, crime_measurements, monkeypatch):
+        solvers, alive_at_release = [], []
+        init = ElasticitySolver.__init__
+
+        def tracking_init(self, *args):
+            solvers.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(ElasticitySolver, "__init__", tracking_init)
+        monkeypatch.setattr(
+            inversion, "release_free_heap", lambda: alive_at_release.append([s() is not None for s in solvers])
+        )
+        kv_value_and_gradient(field_11, medium_mesh, crime_measurements)
+        # one release per evaluation, once its solver (and so its factors) is gone
+        assert alive_at_release == [[False]]
 
 
 class TestGradient:

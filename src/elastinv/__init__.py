@@ -16,7 +16,6 @@ from .fem import (
     ForwardSolution,
     LameField,
     SurfaceLoad,
-    assemble,
     isotropic_stress,
 )
 from .ntd import (
@@ -36,7 +35,6 @@ from .inversion import (
     NoiseSpec,
     add_noise,
     bfgs_minimize,
-    constant_parameterization,
     generate_measurements,
     kohn_vogelius,
     kv_gradient,

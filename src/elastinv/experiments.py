@@ -27,16 +27,6 @@ SCHEMA_VERSION = 1
 # the four surface loads used throughout the reconstruction experiments
 DEFAULT_LOADS = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.3, 0.5)]
 
-EXPERIMENT_KINDS = (
-    "example1",
-    "example2",
-    "example3",
-    "monotonicity",
-    "stability",
-    "forward",
-    "custom",
-)
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -44,6 +34,17 @@ class ConfigError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A verified operator property failed beyond tolerance."""
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """value as a finite float array, or ConfigError naming the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return arr
 
 
 @dataclass
@@ -65,7 +66,7 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.data_mesh not in ("same", "refine"):
             raise ConfigError(f"data_mesh must be 'same' or 'refine', got {self.data_mesh!r}")
@@ -73,6 +74,22 @@ class ExperimentConfig:
             raise ConfigError(f"target_h out of range: {self.target_h!r}")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
+        if not (0.0 <= self.noise < 1.0):
+            raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
+        if not (0.0 <= self.rho < math.inf):
+            raise ConfigError(f"rho must be finite and nonnegative, got {self.rho!r}")
+        if not (isinstance(self.n_pairs, int) and self.n_pairs >= 1):
+            raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
+        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
+            raise ConfigError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
+        if not self.gradient_tolerance > 0.0:
+            raise ConfigError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
+        initial = _float_array(self.initial, "initial")
+        if initial.shape != (2,) or not np.all(initial > 0.0):
+            raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
+        loads = _float_array(self.loads, "loads")
+        if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
+            raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -89,12 +106,12 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         d = dict(d)
-        for key in ("dirichlet_arc", "initial"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        if "loads" in d:
-            d["loads"] = [tuple(g) for g in d["loads"]]
         try:
+            for key in ("dirichlet_arc", "initial"):
+                if d.get(key) is not None:
+                    d[key] = tuple(d[key])
+            if "loads" in d:
+                d["loads"] = [tuple(g) for g in d["loads"]]
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -207,17 +224,11 @@ def build_meshes(config: ExperimentConfig) -> tuple[Mesh, Mesh]:
 
 
 def make_measurements(
-    config: ExperimentConfig,
-    mesh: Mesh,
-    data_mesh: Mesh,
-    truth: LameField | None = None,
-    noise_seed: int | None = None,
+    config: ExperimentConfig, mesh: Mesh, data_mesh: Mesh, truth: LameField, noise: inv.NoiseSpec
 ) -> inv.MeasurementSet:
-    if truth is None:
-        truth = truth_field(config.truth, data_mesh)
+    """The config's loads measured on data_mesh for truth, moved to mesh."""
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
-    spec = inv.NoiseSpec(config.noise, config.seed if noise_seed is None else noise_seed)
-    measured = inv.generate_measurements(data_mesh, truth, loads, spec)
+    measured = inv.generate_measurements(data_mesh, truth, loads, noise)
     if data_mesh is mesh:
         return measured
     pairs = [
@@ -234,15 +245,10 @@ def _reconstruct(
     x0: np.ndarray,
     rho: float,
 ) -> inv.InversionRun:
-    # positivity guard for per-element fields; the constant search runs unconstrained
-    box = None
-    if isinstance(parameterization, inv.PerElementParameterization):
-        box = (1e-3, 1e3, 1e-3, 1e3)
     opt = inv.InversionConfig(
         rho=rho,
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
-        projection_box=box,
     )
     return inv.bfgs_minimize(opt, mesh, measurements, parameterization, x0)
 
@@ -250,7 +256,9 @@ def _reconstruct(
 # -- experiment runners ----------------------------------------------------
 
 EXAMPLE1_SETTINGS = [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)]
-EXAMPLE23_SETTINGS = {"example2": [(0.0, 0.0), (0.03, 1e-4)], "example3": [(0.0, 0.0), (0.03, 1e-4)]}
+EXAMPLE23_SETTINGS = [(0.0, 0.0), (0.03, 1e-4)]
+# admissible box of the per-element unknowns, enforced by projection
+PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
 
 
 def run_example1(config: ExperimentConfig) -> ResultBundle:
@@ -258,12 +266,12 @@ def run_example1(config: ExperimentConfig) -> ResultBundle:
     mesh, data_mesh = build_meshes(config)
     exact = (3.0, 7.0)
     truth = LameField.constant(*exact, data_mesh.n_elements)
-    param = inv.constant_parameterization(mesh)
+    param = inv.ConstantParameterization(mesh)
     rows = []
     bundle = ResultBundle(config, {})
     for i, (eps, rho) in enumerate(EXAMPLE1_SETTINGS):
-        cfg_i = dataclasses.replace(config, noise=eps)
-        measurements = make_measurements(cfg_i, mesh, data_mesh, truth, noise_seed=config.seed + i)
+        noise = inv.NoiseSpec(eps, config.seed + i)
+        measurements = make_measurements(config, mesh, data_mesh, truth, noise)
         run = _reconstruct(config, mesh, measurements, param, np.array(config.initial), rho)
         lam_c, mu_c = param.from_field(run.final_field)
         rows.append(
@@ -287,20 +295,23 @@ def run_example1(config: ExperimentConfig) -> ResultBundle:
     return bundle
 
 
-def _run_per_element_example(config: ExperimentConfig, truth_spec: dict) -> ResultBundle:
+def _run_per_element_example(
+    config: ExperimentConfig, truth_spec: dict, settings: list[tuple[float, float]]
+) -> tuple[ResultBundle, Mesh]:
+    """One per-element reconstruction per (noise, rho) setting; the bundle and its mesh."""
     mesh, data_mesh = build_meshes(config)
     truth_data = truth_field(truth_spec, data_mesh)
     truth_inv = truth_field(truth_spec, mesh)
-    param = inv.PerElementParameterization(mesh)
+    param = inv.PerElementParameterization(mesh, bounds=PER_ELEMENT_BOUNDS)
     x0 = np.concatenate(
         [np.full(mesh.n_elements, config.initial[0]), np.full(mesh.n_elements, config.initial[1])]
     )
     bundle = ResultBundle(config, {})
     bundle.fields["truth"] = truth_inv
     rows = []
-    for i, (eps, rho) in enumerate(EXAMPLE23_SETTINGS[config.kind]):
-        cfg_i = dataclasses.replace(config, noise=eps)
-        measurements = make_measurements(cfg_i, mesh, data_mesh, truth_data, noise_seed=config.seed + i)
+    for i, (eps, rho) in enumerate(settings):
+        noise = inv.NoiseSpec(eps, config.seed + i)
+        measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
         run = _reconstruct(config, mesh, measurements, param, x0, rho)
         rec = run.final_field
         rows.append(
@@ -320,13 +331,13 @@ def _run_per_element_example(config: ExperimentConfig, truth_spec: dict) -> Resu
         bundle.runs[key] = run
         bundle.fields[key] = rec
     bundle.report = {"kind": config.kind, "table": rows}
-    return bundle
+    return bundle, mesh
 
 
 def run_example2(config: ExperimentConfig) -> ResultBundle:
     """Per-element reconstruction of a radial shear modulus and constant lam."""
     config = dataclasses.replace(config, kind="example2", initial=(0.3, 0.5))
-    return _run_per_element_example(config, {"type": "radial-mu", "lam": 1.0})
+    return _run_per_element_example(config, {"type": "radial-mu", "lam": 1.0}, EXAMPLE23_SETTINGS)[0]
 
 
 def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
@@ -353,10 +364,9 @@ def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
 def run_example3(config: ExperimentConfig) -> ResultBundle:
     """Radial shear modulus plus a two-bump lam field; localizes the bumps."""
     config = dataclasses.replace(config, kind="example3", initial=(0.3, 0.5))
-    bundle = _run_per_element_example(config, {"type": "gaussian-bumps-lambda"})
-    mesh, _ = build_meshes(config)
+    bundle, mesh = _run_per_element_example(config, {"type": "gaussian-bumps-lambda"}, EXAMPLE23_SETTINGS)
     bundle.report["truth_bump_centroids"] = bump_centroids(mesh, bundle.fields["truth"].lam)
-    for row, (eps, rho) in zip(bundle.report["table"], EXAMPLE23_SETTINGS["example3"]):
+    for row, (eps, rho) in zip(bundle.report["table"], EXAMPLE23_SETTINGS):
         rec = bundle.fields[f"eps{eps}_rho{rho}"]
         row["bump_centroids"] = bump_centroids(mesh, rec.lam)
     return bundle
@@ -427,32 +437,9 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
 
 
 def run_custom(config: ExperimentConfig) -> ResultBundle:
-    """Reconstruction with a configured truth field and per-element unknowns."""
-    cfg = dataclasses.replace(config, kind="custom")
-    mesh, data_mesh = build_meshes(cfg)
-    truth_data = truth_field(cfg.truth, data_mesh)
-    truth_inv = truth_field(cfg.truth, mesh)
-    param = inv.PerElementParameterization(mesh)
-    x0 = np.concatenate(
-        [np.full(mesh.n_elements, cfg.initial[0]), np.full(mesh.n_elements, cfg.initial[1])]
-    )
-    measurements = make_measurements(cfg, mesh, data_mesh, truth_data)
-    run = _reconstruct(cfg, mesh, measurements, param, x0, cfg.rho)
-    bundle = ResultBundle(cfg, {})
-    bundle.runs["custom"] = run
-    bundle.fields["truth"] = truth_inv
-    bundle.fields["reconstruction"] = run.final_field
-    bundle.report = {
-        "kind": "custom",
-        "initial_j": run.j_history[0],
-        "final_j": run.j_history[-1],
-        "iterations": run.iterations,
-        "converged": run.converged,
-        "reason": run.reason,
-        "rel_l2_error_lam": relative_l2_error(mesh, run.final_field.lam, truth_inv.lam),
-        "rel_l2_error_mu": relative_l2_error(mesh, run.final_field.mu, truth_inv.mu),
-    }
-    return bundle
+    """Per-element reconstruction of the configured truth at the configured noise and rho."""
+    config = dataclasses.replace(config, kind="custom")
+    return _run_per_element_example(config, config.truth, [(config.noise, config.rho)])[0]
 
 
 RUNNERS = {
@@ -464,6 +451,7 @@ RUNNERS = {
     "forward": run_forward,
     "custom": run_custom,
 }
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:

@@ -145,15 +145,6 @@ class ForwardSolution:
     per_element_div: np.ndarray     # (n_el,)
 
 
-@dataclass(eq=False)
-class AssembledSystem:
-    """Reduced stiffness on free dofs, load vector, and the dof map."""
-
-    stiffness: sp.csr_matrix
-    load: np.ndarray
-    free_dofs: np.ndarray  # global dof index per unknown
-
-
 class Discretization:
     """Mesh-only data of the P1 space: element gradients, dof sets, boundary mass.
 
@@ -419,14 +410,3 @@ class ElasticitySolver:
         g = load.nodal_values(self.mesh).ravel()
         t = sol.trace_on_neumann.ravel()
         return float(g @ (self.disc.boundary_mass @ t))
-
-
-def assemble(mesh: Mesh, field: LameField, load: SurfaceLoad) -> AssembledSystem:
-    """Reduced SPD system for the traction problem (Dirichlet dofs eliminated)."""
-    solver = ElasticitySolver(mesh, field)
-    coeffs = load.nodal_values(mesh).reshape(-1, 1)
-    return AssembledSystem(
-        stiffness=solver.K_free,
-        load=solver.load_block(coeffs)[:, 0],
-        free_dofs=solver.disc.free_dofs,
-    )

@@ -5,9 +5,9 @@ traction solve and the prescribed-trace solve are compared in the energy norm
 of the current material, plus a quadratic Tikhonov term.  The gradient with
 respect to the per-element parameters is analytic (difference of the two
 solution energies per element) and exact for the discrete functional, which
-the finite-difference tests rely on.  Minimization is a quasi-Newton descent:
-dense BFGS for low-dimensional parameterizations, limited-memory BFGS for
-per-element fields, with Armijo backtracking.
+the finite-difference tests rely on.  Minimization is a projected
+limited-memory BFGS descent with Armijo backtracking, kept inside the
+parameterization's admissible box.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .fem import (
 from .mesh import Mesh
 
 CURVATURE_SKIP = 1e-12
-PARAM_FLOOR = 1e-8   # trial points below this are rejected by the line search
 LBFGS_MEMORY = 10
-DENSE_LIMIT = 64     # at most this many unknowns gets a dense inverse Hessian
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,8 @@ def generate_measurements(
     """
     solver = ElasticitySolver(mesh, field)
     traces = [sol.trace_on_neumann for sol in solver.solve_neumann_block(loads)]
-    if noise is not None and noise.epsilon > 0.0:
-        rng = np.random.default_rng(noise.seed)
-        noisy = []
-        for f in traces:
-            delta = rng.uniform(0.0, 1.0, size=f.shape)
-            if noise.centered:
-                delta = 2.0 * delta - 1.0
-            noisy.append(f * (1.0 + noise.epsilon * delta))
-        traces = noisy
+    if noise is not None:
+        traces = add_noise(np.stack(traces), noise)
     return MeasurementSet(list(zip(loads, traces)))
 
 
@@ -215,10 +209,6 @@ class ConstantParameterization:
         return np.array([g_lam.sum(), g_mu.sum()])
 
 
-def constant_parameterization(mesh: Mesh, bounds=(1e-6, 1e6, 1e-6, 1e6)) -> ConstantParameterization:
-    return ConstantParameterization(mesh, bounds)
-
-
 # -- optimizer -------------------------------------------------------------
 
 
@@ -227,11 +217,6 @@ class InversionConfig:
     rho: float = 0.0
     max_iterations: int = 200
     gradient_tolerance: float = 1e-10
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
-    projection_box: tuple[float, float, float, float] | None = None
-    lbfgs_memory: int = LBFGS_MEMORY
 
     def __post_init__(self):
         if self.rho < 0.0:
@@ -257,17 +242,16 @@ class InversionRun:
 
 
 class _LBfgsDirection:
-    """Two-loop recursion over the last m curvature pairs."""
+    """Two-loop recursion over the last LBFGS_MEMORY curvature pairs."""
 
-    def __init__(self, memory: int):
-        self.memory = memory
+    def __init__(self):
         self.s: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         self.s.append(s)
         self.y.append(y)
-        if len(self.s) > self.memory:
+        if len(self.s) > LBFGS_MEMORY:
             self.s.pop(0)
             self.y.pop(0)
 
@@ -295,46 +279,33 @@ def bfgs_minimize(
     parameterization,
     x0: np.ndarray,
 ) -> InversionRun:
-    """Quasi-Newton descent on the stacked parameter vector.
+    """Projected limited-memory BFGS on the stacked (lam, mu) parameter vector.
 
-    Dense BFGS inverse-Hessian for small parameterizations, limited-memory
-    otherwise.  Updates are skipped when the curvature condition fails; trial
-    points leaving the positive cone (or the projection box) are rejected by
-    the backtracking line search.
+    Every trial point is clipped to the parameterization's admissible box
+    (a, b, c, d): the lam half of x to [a, b], the mu half to [c, d].  The
+    Armijo test uses the slope of the clipped step, and curvature pairs that
+    fail the curvature condition are skipped.
     """
     run = InversionRun()
+    lam_lo, lam_hi, mu_lo, mu_hi = parameterization.bounds
+    half = parameterization.n_params // 2
 
     def project(x):
-        if config.projection_box is not None:
-            a, b, c, d = config.projection_box
-            n = len(x) // 2
-            x = x.copy()
-            x[:n] = np.clip(x[:n], a, b)
-            x[n:] = np.clip(x[n:], c, d)
-        return x
+        return np.concatenate([np.clip(x[:half], lam_lo, lam_hi), np.clip(x[half:], mu_lo, mu_hi)])
 
     def evaluate(x):
-        if x.min() <= PARAM_FLOOR:
-            return np.inf, None, None
-        try:
-            field = parameterization.to_field(x)
-        except ValueError:
-            # outside the admissible box; backtrack
-            return np.inf, None, None
+        field = parameterization.to_field(x)
         j, g_lam, g_mu = kv_value_and_gradient(field, mesh, measurements, config.rho)
         return j, parameterization.reduce_gradient(g_lam, g_mu), field
 
-    x = project(np.asarray(x0, dtype=float).copy())
-    j, g, field = evaluate(x)
-    if not np.isfinite(j):
+    x = np.asarray(x0, dtype=float)
+    if not np.array_equal(project(x), x):
         raise ValueError("initial point is infeasible")
+    j, g, field = evaluate(x)
     run.j_history.append(j)
     run.grad_history.append(float(np.abs(g).max()))
     run.final_field = field
-
-    dense = parameterization.n_params <= DENSE_LIMIT
-    H = np.eye(parameterization.n_params) if dense else None
-    lbfgs = None if dense else _LBfgsDirection(config.lbfgs_memory)
+    lbfgs = _LBfgsDirection()
 
     for _ in range(config.max_iterations):
         gnorm = float(np.abs(g).max())
@@ -343,44 +314,33 @@ def bfgs_minimize(
             run.reason = "gradient tolerance reached"
             return run
 
-        d = -(H @ g) if dense else -lbfgs.apply(g)
+        d = -lbfgs.apply(g)
         if d @ g >= 0.0:
             # not a descent direction; reset to steepest descent
             d = -g
-            if dense:
-                H = np.eye(len(g))
-            else:
-                lbfgs = _LBfgsDirection(config.lbfgs_memory)
+            lbfgs = _LBfgsDirection()
 
         alpha = 1.0
         accepted = False
-        for _bt in range(config.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             x_trial = project(x + alpha * d)
-            step = x_trial - x
-            decrease = float(g @ step)  # slope of the actual (possibly clamped) step
+            decrease = float(g @ (x_trial - x))  # slope of the clipped step
             if decrease >= 0.0:
-                alpha *= config.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
                 continue
             j_trial, g_trial, field_trial = evaluate(x_trial)
-            if np.isfinite(j_trial) and j_trial <= j + config.armijo_c1 * decrease:
+            if j_trial <= j + ARMIJO_C1 * decrease:
                 accepted = True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         if not accepted:
             run.reason = "line search failed"
             return run
 
         s = x_trial - x
         y = g_trial - g
-        sy = float(s @ y)
-        if sy > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            if dense:
-                rho_i = 1.0 / sy
-                I = np.eye(len(x))
-                V = I - rho_i * np.outer(s, y)
-                H = V @ H @ V.T + rho_i * np.outer(s, s)
-            else:
-                lbfgs.push(s, y)
+        if float(s @ y) > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+            lbfgs.push(s, y)
 
         x, j, g, field = x_trial, j_trial, g_trial, field_trial
         run.j_history.append(j)

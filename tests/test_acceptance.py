@@ -22,7 +22,7 @@ from elastinv.experiments import (
 )
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
 from elastinv.inversion import (
-    constant_parameterization,
+    ConstantParameterization,
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
@@ -162,7 +162,7 @@ def test_criterion_6_gradient_oracle(surface_loads):
     # constant (2-parameter) variant, tighter tolerance
     truth = LameField.constant(3.0, 7.0, mesh.n_elements)
     meas = generate_measurements(mesh, truth, surface_loads)
-    param = constant_parameterization(mesh)
+    param = ConstantParameterization(mesh)
     x = np.array([2.0, 5.0])
     g = param.reduce_gradient(*kv_gradient(param.to_field(x), mesh, meas, 0.0))
     worst_const = 0.0

@@ -6,14 +6,18 @@ import pytest
 
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, main
 from elastinv.experiments import (
+    PER_ELEMENT_BOUNDS,
     ConfigError,
     ExperimentConfig,
+    _reconstruct,
     bump_centroids,
     build_meshes,
+    make_measurements,
     relative_l2_error,
     run_experiment,
     truth_field,
 )
+from elastinv.inversion import NoiseSpec, PerElementParameterization
 from elastinv.mesh import generate_disk_mesh
 
 
@@ -47,6 +51,19 @@ class TestConfig:
             {"target_h": 1.5},
             {"data_mesh": "coarsen"},
             {"schema_version": 99},
+            {"noise": 1.0},
+            {"noise": -0.01},
+            {"rho": -1e-4},
+            {"n_pairs": 0},
+            {"n_pairs": -3},
+            {"max_iterations": -1},
+            {"gradient_tolerance": 0.0},
+            {"initial": (-1.0, 0.0)},
+            {"initial": (1.0, math.nan)},
+            {"initial": (1.0,)},
+            {"loads": []},
+            {"loads": [(0.1, math.inf)]},
+            {"loads": [(0.1, 0.2, 0.3)]},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -131,6 +148,38 @@ class TestBundles:
         assert all(r > 0 and np.isfinite(r) for r in bundle.report["ratios"])
 
 
+    def test_custom_bundle(self, tmp_path):
+        config = ExperimentConfig(
+            kind="custom", target_h=0.25, noise=0.03, rho=1e-4, seed=4, max_iterations=8
+        )
+        bundle = run_experiment(config)
+        (row,) = bundle.report["table"]
+        assert (row["epsilon"], row["rho"]) == (0.03, 1e-4)
+
+        # the same measurements and optimizer run, made directly
+        mesh, data_mesh = build_meshes(config)
+        truth = truth_field(config.truth, mesh)
+        noise = NoiseSpec(config.noise, config.seed)
+        measurements = make_measurements(config, mesh, data_mesh, truth, noise)
+        param = PerElementParameterization(mesh, bounds=PER_ELEMENT_BOUNDS)
+        x0 = np.repeat(np.array(config.initial), mesh.n_elements)
+        run = _reconstruct(config, mesh, measurements, param, x0, config.rho)
+        assert row["initial_j"] == run.j_history[0]
+        assert row["final_j"] == run.j_history[-1]
+        assert (row["iterations"], row["converged"], row["reason"]) == (
+            run.iterations, run.converged, run.reason
+        )
+        assert row["rel_l2_error_lam"] == relative_l2_error(mesh, run.final_field.lam, truth.lam)
+        assert row["rel_l2_error_mu"] == relative_l2_error(mesh, run.final_field.mu, truth.mu)
+
+        files = {}
+        for sub in ("a", "b"):
+            out = run_experiment(config).write(tmp_path / sub)
+            files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert files["a"] == files["b"]
+        assert "convergence_eps0.03_rho0.0001.csv" in files["a"]
+
+
 class TestCli:
     def test_forward_ok(self, tmp_path, capsys):
         out = tmp_path / "fw"
@@ -158,3 +207,11 @@ class TestCli:
         written = json.loads((out / "config.json").read_text())
         assert written["seed"] == 9
         assert written["n_pairs"] == 2
+
+    def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "n_pairs": -3}))
+        out = tmp_path / "st"
+        code = main(["stability", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()

@@ -15,7 +15,6 @@ from elastinv.inversion import (
     PerElementParameterization,
     add_noise,
     bfgs_minimize,
-    constant_parameterization,
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
@@ -207,14 +206,14 @@ class TestGradient:
 
 class TestConstantParameterization:
     def test_roundtrip(self, medium_mesh):
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         x = np.array([2.5, 6.25])
         field = param.to_field(x)
         assert np.all(field.lam == 2.5) and np.all(field.mu == 6.25)
         assert np.array_equal(param.from_field(field), x)
 
     def test_reduction_is_sum(self, medium_mesh):
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         rng = np.random.default_rng(13)
         g_lam = rng.standard_normal(medium_mesh.n_elements)
         g_mu = rng.standard_normal(medium_mesh.n_elements)
@@ -224,7 +223,7 @@ class TestConstantParameterization:
     def test_finite_difference_2d(self, coarse_mesh, loads):
         truth = LameField.constant(3.0, 7.0, coarse_mesh.n_elements)
         meas = generate_measurements(coarse_mesh, truth, loads)
-        param = constant_parameterization(coarse_mesh)
+        param = ConstantParameterization(coarse_mesh)
         x = np.array([2.0, 5.0])
         field = param.to_field(x)
         g = param.reduce_gradient(*kv_gradient(field, coarse_mesh, meas, 0.0))
@@ -242,14 +241,14 @@ class TestConstantParameterization:
 
 class TestBfgs:
     def test_starts_at_truth(self, medium_mesh, crime_measurements):
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         config = InversionConfig(max_iterations=50, gradient_tolerance=1e-9)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([3.0, 7.0]))
         assert run.converged
         assert run.iterations <= 1
 
     def test_recovers_constants(self, medium_mesh, crime_measurements):
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         config = InversionConfig(max_iterations=200, gradient_tolerance=1e-11)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         lam, mu = param.from_field(run.final_field)
@@ -257,7 +256,7 @@ class TestBfgs:
         assert abs(mu - 7.0) / 7.0 <= 1e-3
 
     def test_monotone_descent(self, medium_mesh, crime_measurements):
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         config = InversionConfig(max_iterations=30, gradient_tolerance=1e-13)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         j = np.array(run.j_history)
@@ -265,7 +264,7 @@ class TestBfgs:
 
     def test_deterministic(self, medium_mesh, field_37, loads):
         noisy = generate_measurements(medium_mesh, field_37, loads, NoiseSpec(0.03, 21))
-        param = constant_parameterization(medium_mesh)
+        param = ConstantParameterization(medium_mesh)
         config = InversionConfig(rho=1e-5, max_iterations=60, gradient_tolerance=1e-11)
         run_a = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
         run_b = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
@@ -273,15 +272,21 @@ class TestBfgs:
         assert np.array_equal(run_a.final_field.lam, run_b.final_field.lam)
 
     def test_projection_box_respected(self, medium_mesh, crime_measurements):
-        param = PerElementParameterization(medium_mesh)
-        box = (0.5, 4.0, 0.5, 8.0)
-        config = InversionConfig(max_iterations=5, gradient_tolerance=1e-13, projection_box=box)
-        x0 = np.concatenate(
-            [np.full(medium_mesh.n_elements, 1.0), np.full(medium_mesh.n_elements, 1.0)]
-        )
+        # the truth (3, 7) lies outside the box, so the iterates run into it
+        box = (0.5, 4.0, 0.5, 5.0)
+        param = PerElementParameterization(medium_mesh, bounds=box)
+        config = InversionConfig(max_iterations=10, gradient_tolerance=1e-13)
+        x0 = np.ones(param.n_params)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, x0)
-        assert run.final_field.lam.min() >= box[0] and run.final_field.lam.max() <= box[1]
-        assert run.final_field.mu.min() >= box[2] and run.final_field.mu.max() <= box[3]
+        lam, mu = run.final_field.lam, run.final_field.mu
+        assert lam.min() >= box[0] and lam.max() <= box[1]
+        assert mu.min() >= box[2] and mu.max() <= box[3]
+        assert np.any(mu == box[3])
+
+    def test_infeasible_start_rejected(self, medium_mesh, crime_measurements):
+        param = ConstantParameterization(medium_mesh)
+        with pytest.raises(ValueError, match="infeasible"):
+            bfgs_minimize(InversionConfig(), medium_mesh, crime_measurements, param, np.array([-1.0, 1.0]))
 
 
 class TestTraceTransfer:

@@ -38,7 +38,6 @@ from .inversion import (
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
-    kv_value_and_gradient,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
+# only these runners read the noise level and regularization weight, or a data mesh
+NOISE_KINDS = ("custom",)
+DATA_MESH_KINDS = ("example1", "example2", "example3", "custom")
+# config fields a flag can override, under the flag's dest
+OVERRIDES = ("seed", "noise", "rho", "target_h", "data_mesh")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,48 +44,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (schema_version 1)")
         p.add_argument("--out", default=f"out_{kind}", help="output directory")
         p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--noise", type=float, help="noise level override")
-        p.add_argument("--rho", type=float, help="regularization weight override")
-        p.add_argument("--mesh-h", type=float, dest="mesh_h", help="target mesh size override")
-        p.add_argument(
-            "--data-mesh",
-            choices=("same", "refine"),
-            dest="data_mesh",
-            help="generate data on the same mesh or a once-refined one",
-        )
+        p.add_argument("--mesh-h", type=float, dest="target_h", help="target mesh size override")
+        if kind in NOISE_KINDS:
+            p.add_argument("--noise", type=float, help="noise level override")
+            p.add_argument("--rho", type=float, help="regularization weight override")
+        if kind in DATA_MESH_KINDS:
+            p.add_argument(
+                "--data-mesh",
+                choices=("same", "refine"),
+                dest="data_mesh",
+                help="generate data on the same mesh or a once-refined one",
+            )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-        config = dataclasses.replace(config, kind=args.command)
-    else:
-        config = ExperimentConfig(kind=args.command)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.noise is not None:
-        overrides["noise"] = args.noise
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.mesh_h is not None:
-        overrides["target_h"] = args.mesh_h
-    if args.data_mesh is not None:
-        overrides["data_mesh"] = args.data_mesh
-    return dataclasses.replace(config, **overrides) if overrides else config
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    # a subcommand defines only the flags its runner reads
+    overrides = {
+        key: value for key in OVERRIDES if (value := getattr(args, key, None)) is not None
+    }
+    return dataclasses.replace(config, kind=args.command, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (ConfigError, MeshError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        bundle = run_experiment(config)
+        bundle = run_experiment(config_from_args(args))
     except (ConfigError, MeshError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

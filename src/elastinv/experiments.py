@@ -51,7 +51,7 @@ def _float_array(value, name: str) -> np.ndarray:
 class ExperimentConfig:
     kind: str = "example1"
     target_h: float = 0.08
-    # None resolves to the per-kind default in build_meshes
+    # None resolves to the per-kind default in build_mesh
     dirichlet_arc: tuple[float, float] | None = None
     truth: dict = dc_field(default_factory=lambda: {"type": "constant", "lam": 3.0, "mu": 7.0})
     loads: list[tuple[float, float]] = dc_field(default_factory=lambda: list(DEFAULT_LOADS))
@@ -90,14 +90,11 @@ class ExperimentConfig:
         loads = _float_array(self.loads, "loads")
         if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
             raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
+        _check_truth(self.truth)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if self.dirichlet_arc is not None:
-            d["dirichlet_arc"] = list(self.dirichlet_arc)
-        d["loads"] = [list(g) for g in self.loads]
-        d["initial"] = list(self.initial)
-        return d
+        # tuples are written as JSON arrays, and from_dict turns them back
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -128,8 +125,30 @@ class ExperimentConfig:
 # -- truth fields ----------------------------------------------------------
 
 
+def _check_truth(spec) -> None:
+    """Raise ConfigError unless spec is a truth description: known type, valid keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"truth must be an object, got {spec!r}")
+    kind = spec.get("type", "constant")
+    moduli = ()  # the Lame moduli the spec gives
+    if kind == "constant":
+        moduli = ("lam", "mu")
+    elif kind == "radial-mu":
+        moduli = ("lam",) if "lam" in spec else ()
+    elif kind == "file":
+        if not isinstance(spec.get("path"), str):
+            raise ConfigError(f"file truth needs a string path, got {spec.get('path')!r}")
+    elif kind != "gaussian-bumps-lambda":
+        raise ConfigError(f"unknown truth field type {kind!r}")
+    for key in moduli:
+        value = _float_array(spec.get(key), f"truth {key}")
+        if value.shape != () or not value > 0.0:
+            raise ConfigError(f"{kind} truth needs a positive number {key}, got {spec.get(key)!r}")
+
+
 def truth_field(spec: dict, mesh: Mesh) -> LameField:
     """Sample a truth parameter description at the element centroids."""
+    _check_truth(spec)
     kind = spec.get("type", "constant")
     cx, cy = mesh.element_centroids.T
     r = np.hypot(cx, cy)
@@ -143,10 +162,14 @@ def truth_field(spec: dict, mesh: Mesh) -> LameField:
             -5.0 * ((cx + 0.5) ** 2 + (cy + 0.5) ** 2)
         )
         return LameField(np.maximum(lam, 1e-3), np.maximum(r, 1e-3))
-    if kind == "file":
+    # the "file" type: one (lam, mu) row per element
+    try:
         data = np.loadtxt(spec["path"])
+        if data.shape != (mesh.n_elements, 2):
+            raise ValueError(f"expected {mesh.n_elements} rows of (lam, mu), got shape {data.shape}")
         return LameField(data[:, 0], data[:, 1])
-    raise ConfigError(f"unknown truth field type {kind!r}")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad truth file {spec['path']}: {exc}") from exc
 
 
 # -- bundle helpers --------------------------------------------------------
@@ -206,21 +229,20 @@ DEFAULT_ARC = (math.pi, 2.0 * math.pi)
 EXAMPLE3_ARC = (math.pi / 2.0, math.pi)
 
 
-def resolve_arc(config: ExperimentConfig) -> tuple[float, float]:
-    if config.dirichlet_arc is not None:
-        return config.dirichlet_arc
-    return EXAMPLE3_ARC if config.kind == "example3" else DEFAULT_ARC
+def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:
+    """Disk mesh of size target_h with the config's clamped arc, or its kind's default arc."""
+    arc = config.dirichlet_arc
+    if arc is None:
+        arc = EXAMPLE3_ARC if config.kind == "example3" else DEFAULT_ARC
+    return partition_boundary(generate_disk_mesh(target_h), BoundaryPartitionSpec(*arc))
 
 
 def build_meshes(config: ExperimentConfig) -> tuple[Mesh, Mesh]:
     """(inversion mesh, data mesh); data mesh is once-refined when requested."""
-    spec = BoundaryPartitionSpec(*resolve_arc(config))
-    mesh = partition_boundary(generate_disk_mesh(config.target_h), spec)
+    mesh = build_mesh(config, config.target_h)
     if config.data_mesh == "refine":
-        data_mesh = partition_boundary(generate_disk_mesh(config.target_h / 2.0), spec)
-    else:
-        data_mesh = mesh
-    return mesh, data_mesh
+        return mesh, build_mesh(config, config.target_h / 2.0)
+    return mesh, mesh
 
 
 def make_measurements(
@@ -374,7 +396,7 @@ def run_example3(config: ExperimentConfig) -> ResultBundle:
 
 def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
     """Seeded campaign over ordered pairs: sandwich inequality and ordering gap."""
-    mesh, _ = build_meshes(config)
+    mesh = build_mesh(config, config.target_h)
     rng = np.random.default_rng(config.seed)
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     records, violations = [], []
@@ -383,11 +405,11 @@ def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
         # one solver per field serves its NtD matrix and every sandwich load
         s1 = ElasticitySolver(mesh, pair.field_1)
         s2 = ElasticitySolver(mesh, pair.field_2)
-        gap = ntd.loewner_gap(ntd.ntd_from_solver(s1), ntd.ntd_from_solver(s2), pair)
+        gap = ntd.loewner_gap(ntd.build_ntd(s1), ntd.build_ntd(s2))
         rec = {"pair": i, "loewner_gap": gap, "sandwich": []}
         if gap < -ntd.ORDER_TOL:
             violations.append({"pair": i, "kind": "loewner", "gap": gap})
-        for k, (lhs, mid, rhs) in enumerate(ntd.sandwich_from_solvers(s1, s2, loads)):
+        for k, (lhs, mid, rhs) in enumerate(ntd.monotonicity_sandwich(s1, s2, loads)):
             scale = max(abs(mid), 1e-30)
             rec["sandwich"].append({"load": k, "lhs": lhs, "mid": mid, "rhs": rhs})
             if lhs < mid - ntd.ORDER_TOL * scale or mid < rhs - ntd.ORDER_TOL * scale:
@@ -404,20 +426,20 @@ def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
 
 def run_stability(config: ExperimentConfig) -> ResultBundle:
     """Empirical Lipschitz-constant experiment on the quadrant family."""
-    mesh, _ = build_meshes(config)
+    mesh = build_mesh(config, config.target_h)
     rng = np.random.default_rng(config.seed)
     family = [ntd.quadrant_pair(mesh, rng) for _ in range(config.n_pairs)]
     rep = ntd.stability_ratio_experiment(mesh, family)
-    report = {"kind": "stability", "n_pairs": config.n_pairs, **rep.to_dict()}
+    report = {"kind": "stability", "n_pairs": config.n_pairs, **dataclasses.asdict(rep)}
     return ResultBundle(config, report)
 
 
 def run_forward(config: ExperimentConfig) -> ResultBundle:
     """Solve the forward problem for the configured truth and export traces."""
-    mesh, _ = build_meshes(config)
+    mesh = build_mesh(config, config.target_h)
     truth = truth_field(config.truth, mesh)
     solver = ElasticitySolver(mesh, truth)
-    sols = solver.solve_neumann_block([SurfaceLoad(constant=tuple(g)) for g in config.loads])
+    sols = solver.solve_neumann([SurfaceLoad(constant=tuple(g)) for g in config.loads])
     traces = {}
     for k, (g, sol) in enumerate(zip(config.loads, sols)):
         traces[f"load_{k}"] = {

@@ -305,7 +305,6 @@ class ElasticitySolver:
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
-        field.check_mesh(mesh)
         self.mesh = mesh
         self.field = field
         self.disc = discretization(mesh)
@@ -365,18 +364,14 @@ class ElasticitySolver:
         )
         return U
 
-    def solve_neumann_block(self, loads: list[SurfaceLoad]) -> list[ForwardSolution]:
+    def solve_neumann(self, loads: list[SurfaceLoad]) -> list[ForwardSolution]:
         """Traction problems, one per load: loaded Neumann part, clamped elsewhere."""
         coeffs = np.column_stack([g.nodal_values(self.mesh).ravel() for g in loads])
         return [self._package(u) for u in self.neumann_displacements(coeffs).T]
 
-    def solve_neumann(self, load: SurfaceLoad) -> ForwardSolution:
-        """Solve the traction problem: load on the Neumann part, clamped elsewhere."""
-        return self.solve_neumann_block([load])[0]
-
     # -- prescribed-trace (Dirichlet) solves -------------------------------
 
-    def solve_dirichlet_block(self, traces: list[np.ndarray]) -> list[ForwardSolution]:
+    def solve_dirichlet(self, traces: list[np.ndarray]) -> list[ForwardSolution]:
         """Solve with each prescribed displacement trace on the Neumann nodes.
 
         Each trace is an (m, 2) array on mesh.neumann_nodes; the clamped part
@@ -393,10 +388,6 @@ class ElasticitySolver:
         B = -(self.K @ U)[disc.interior_dofs]
         U[disc.interior_dofs] = self._solve_refined(self._dirichlet_factor, self.K_interior, B)
         return [self._package(u) for u in U.T]
-
-    def solve_dirichlet(self, trace_data: np.ndarray) -> ForwardSolution:
-        """Solve with prescribed displacement trace_data, (m, 2), on the Neumann nodes."""
-        return self.solve_dirichlet_block([trace_data])[0]
 
     # -- energies ---------------------------------------------------------
 

@@ -37,13 +37,11 @@ class NoiseSpec:
     """Multiplicative uniform noise on measured traces.
 
     Each trace component is scaled by (1 + epsilon * delta) with delta drawn
-    i.i.d. from U[0, 1] (matching a plain rand() realization); centered=True
-    switches to U[-1, 1].
+    i.i.d. from U[0, 1] (matching a plain rand() realization).
     """
 
     epsilon: float = 0.0
     seed: int = 0
-    centered: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
@@ -53,8 +51,6 @@ class NoiseSpec:
 def add_noise(f: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     delta = rng.uniform(0.0, 1.0, size=np.shape(f))
-    if spec.centered:
-        delta = 2.0 * delta - 1.0
     return np.asarray(f) * (1.0 + spec.epsilon * delta)
 
 
@@ -81,7 +77,7 @@ def generate_measurements(
     reproducible per (epsilon, seed).
     """
     solver = ElasticitySolver(mesh, field)
-    traces = [sol.trace_on_neumann for sol in solver.solve_neumann_block(loads)]
+    traces = [sol.trace_on_neumann for sol in solver.solve_neumann(loads)]
     if noise is not None:
         traces = add_noise(np.stack(traces), noise)
     return MeasurementSet(list(zip(loads, traces)))
@@ -116,7 +112,7 @@ def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndar
 # -- functional and gradient ---------------------------------------------
 
 
-def kv_value_and_gradient(
+def kohn_vogelius(
     field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Kohn-Vogelius misfit J and its analytic per-element gradient.
@@ -133,8 +129,8 @@ def kv_value_and_gradient(
     prescribed-trace block.  Returns (J, dJ/dlam, dJ/dmu).
     """
     solver = ElasticitySolver(mesh, field)
-    neumann = solver.solve_neumann_block([g for g, _ in measurements.pairs])
-    dirichlet = solver.solve_dirichlet_block([f for _, f in measurements.pairs])
+    neumann = solver.solve_neumann([g for g, _ in measurements.pairs])
+    dirichlet = solver.solve_dirichlet([f for _, f in measurements.pairs])
     area = mesh.element_areas
     j = 0.0
     g_lam = np.zeros(mesh.n_elements)
@@ -158,14 +154,9 @@ def kv_value_and_gradient(
     return j, g_lam, g_mu
 
 
-def kohn_vogelius(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> float:
-    """The misfit J of kv_value_and_gradient."""
-    return kv_value_and_gradient(field, mesh, measurements, rho)[0]
-
-
 def kv_gradient(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The per-element derivatives (dJ/dlam_e, dJ/dmu_e) of kv_value_and_gradient."""
-    return kv_value_and_gradient(field, mesh, measurements, rho)[1:]
+    """The per-element derivatives (dJ/dlam_e, dJ/dmu_e) of kohn_vogelius."""
+    return kohn_vogelius(field, mesh, measurements, rho)[1:]
 
 
 # -- parameterizations ----------------------------------------------------
@@ -295,7 +286,7 @@ def bfgs_minimize(
 
     def evaluate(x):
         field = parameterization.to_field(x)
-        j, g_lam, g_mu = kv_value_and_gradient(field, mesh, measurements, config.rho)
+        j, g_lam, g_mu = kohn_vogelius(field, mesh, measurements, config.rho)
         return j, parameterization.reduce_gradient(g_lam, g_mu), field
 
     x = np.asarray(x0, dtype=float)

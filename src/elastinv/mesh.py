@@ -29,6 +29,15 @@ class MeshError(ValueError):
     """Invalid mesh input or an operation that would produce an invalid mesh."""
 
 
+def _signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Area of each triangle, positive when its nodes run counter-clockwise."""
+    p = nodes[triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
+
+
 @dataclass(frozen=True)
 class BoundaryPartitionSpec:
     """Angular half-open arc [theta0, theta1) of the circle that is clamped (Dirichlet).
@@ -86,11 +95,7 @@ class Mesh:
 
     @cached_property
     def element_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return np.abs(_signed_areas(self.nodes, self.triangles))
 
     @cached_property
     def element_centroids(self) -> np.ndarray:
@@ -133,11 +138,7 @@ class Mesh:
             self.boundary_edges.min() < 0 or self.boundary_edges.max() >= n
         ):
             raise MeshError("boundary edge node index out of range")
-        p = self.nodes[self.triangles]
-        signed = 0.5 * (
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        signed = _signed_areas(self.nodes, self.triangles)
         if signed.size and signed.min() <= 0.0:
             raise MeshError("triangle with non-positive signed area (not CCW)")
         if self.edge_tags and len(self.edge_tags) != self.boundary_edges.shape[0]:
@@ -217,11 +218,7 @@ def generate_disk_mesh(target_h: float) -> Mesh:
     tri = Delaunay(points)
     simplices = tri.simplices.copy()
 
-    p = points[simplices]
-    signed = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    signed = _signed_areas(points, simplices)
     flip = signed < 0.0
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
     keep = np.abs(signed) > _AREA_EPS

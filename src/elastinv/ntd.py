@@ -11,7 +11,6 @@ finite family.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,6 @@ import scipy.linalg
 from .fem import ElasticitySolver, LameField, SurfaceLoad
 from .mesh import Mesh
 
-LEQ = "LEQ"
-GEQ = "GEQ"
-
-SYM_TOL = 1e-10      # relative tolerance for discrete self-adjointness
 ORDER_TOL = 1e-8     # slack for inequalities obtained through eigen-solves
 # hat loads are solved NTD_BLOCK columns at a time: at h=0.08 one block over
 # all 2m columns was no faster and raised peak RSS by ~5 MB over column-wise
@@ -41,14 +36,10 @@ class NtDOperator:
 
     matrix: np.ndarray          # (2m, 2m), load coefficients -> trace coefficients
     boundary_mass: np.ndarray   # (2m, 2m) dense SPD
-    mesh_ref: Mesh
-    field_ref: LameField
 
-    def pairing(self, g: np.ndarray, h: np.ndarray | None = None) -> float:
-        """M-weighted pairing <g, NtD h>; h defaults to g."""
-        if h is None:
-            h = g
-        return float(g @ (self.boundary_mass @ (self.matrix @ h)))
+    def pairing(self, g: np.ndarray) -> float:
+        """M-weighted pairing <g, NtD g>."""
+        return float(g @ (self.boundary_mass @ (self.matrix @ g)))
 
     def symmetry_defect(self) -> float:
         """max-norm asymmetry of M*NtD relative to its own scale."""
@@ -56,72 +47,46 @@ class NtDOperator:
         return float(np.abs(A - A.T).max() / np.abs(A).max())
 
 
-def build_ntd(mesh: Mesh, field: LameField, basis: list[SurfaceLoad] | None = None) -> NtDOperator:
-    """Assemble the NtD matrix from block solves against one factorization.
+def build_ntd(solver: ElasticitySolver) -> NtDOperator:
+    """The NtD matrix of the solver's field on the Neumann trace space.
 
-    With the default basis (all nodal hat loads) the result is the full
-    operator on the Neumann trace space; a custom basis gives the rectangular
-    probe matrix instead.
+    Column j is the trace of the traction solve for the j-th nodal hat load;
+    the hat loads are solved in blocks against the solver's factorization.
     """
-    return ntd_from_solver(ElasticitySolver(mesh, field), basis)
-
-
-def ntd_from_solver(solver: ElasticitySolver, basis: list[SurfaceLoad] | None = None) -> NtDOperator:
-    """build_ntd for the mesh and field of an existing solver, reusing its factorization."""
     disc = solver.disc
-    if basis is None:
-        coeffs = np.eye(len(disc.trace_dofs))
-    else:
-        coeffs = np.column_stack([g.nodal_values(solver.mesh).ravel() for g in basis])
-    traces = np.empty((len(disc.trace_dofs), coeffs.shape[1]))
+    coeffs = np.eye(len(disc.trace_dofs))
+    traces = np.empty_like(coeffs)
     for start in range(0, coeffs.shape[1], NTD_BLOCK):
         cols = slice(start, start + NTD_BLOCK)
         traces[:, cols] = solver.neumann_displacements(coeffs[:, cols])[disc.trace_dofs]
-    return NtDOperator(traces, disc.boundary_mass.toarray(), solver.mesh, solver.field)
+    return NtDOperator(traces, disc.boundary_mass.toarray())
 
 
 @dataclass(frozen=True)
 class OrderedPair:
-    """Two Lame fields on one mesh with a pointwise order between them."""
+    """Two Lame fields on one mesh, field_1 <= field_2 pointwise."""
 
     field_1: LameField
     field_2: LameField
-    order: str = LEQ
 
     def __post_init__(self):
-        if self.order not in (LEQ, GEQ):
-            raise OrderError(f"unknown order {self.order!r}")
         f1, f2 = self.field_1, self.field_2
-        if self.order == GEQ:
-            f1, f2 = f2, f1
         if not (np.all(f1.lam <= f2.lam) and np.all(f1.mu <= f2.mu)):
-            raise OrderError("fields are not pointwise ordered as declared")
-
-    def ascending(self) -> tuple[LameField, LameField]:
-        """(lower, upper) in the pointwise order."""
-        if self.order == LEQ:
-            return self.field_1, self.field_2
-        return self.field_2, self.field_1
+            raise OrderError("fields are not pointwise ordered")
 
 
-def monotonicity_sandwich(mesh: Mesh, pair: OrderedPair, g: SurfaceLoad) -> tuple[float, float, float]:
-    """The three quantities of the two-sided monotonicity inequality.
+def monotonicity_sandwich(
+    s1: ElasticitySolver, s2: ElasticitySolver, loads: list[SurfaceLoad]
+) -> list[tuple[float, float, float]]:
+    """The three quantities of the two-sided monotonicity inequality, per load.
 
-    Returns (lhs, mid, rhs) where
+    s1 and s2 are solvers for the tensors C1 and C2 on one mesh.  For each
+    load g returns (lhs, mid, rhs) where
       lhs = integral (C1 - C2) strain(u2) : strain(u2),
       mid = <g, NtD(C2) g> - <g, NtD(C1) g>,
       rhs = integral (C1 - C2) strain(u1) : strain(u1),
     and lhs >= mid >= rhs for any pair of admissible tensors.
     """
-    s1 = ElasticitySolver(mesh, pair.field_1)
-    s2 = ElasticitySolver(mesh, pair.field_2)
-    return sandwich_from_solvers(s1, s2, [g])[0]
-
-
-def sandwich_from_solvers(
-    s1: ElasticitySolver, s2: ElasticitySolver, loads: list[SurfaceLoad]
-) -> list[tuple[float, float, float]]:
-    """monotonicity_sandwich for every load, from the solvers of field_1 and field_2."""
     dlam = s1.field.lam - s2.field.lam
     dmu = s1.field.mu - s2.field.mu
     area = s1.mesh.element_areas
@@ -131,7 +96,7 @@ def sandwich_from_solvers(
         return float(np.dot(area, dlam * sol.per_element_div**2 + 2.0 * dmu * ss))
 
     terms = []
-    for g, u1, u2 in zip(loads, s1.solve_neumann_block(loads), s2.solve_neumann_block(loads)):
+    for g, u1, u2 in zip(loads, s1.solve_neumann(loads), s2.solve_neumann(loads)):
         mid = s2.boundary_pairing(g, u2) - s1.boundary_pairing(g, u1)
         terms.append((weighted(u2), mid, weighted(u1)))
     return terms
@@ -150,17 +115,14 @@ def _symmetrized_eigs(op1: NtDOperator, op2: NtDOperator) -> np.ndarray:
     return scipy.linalg.eigh(A, M, eigvals_only=True)
 
 
-def loewner_gap(op1: NtDOperator, op2: NtDOperator, pair: OrderedPair) -> float:
+def loewner_gap(op_lower: NtDOperator, op_upper: NtDOperator) -> float:
     """Smallest weighted eigenvalue of NtD(lower) - NtD(upper).
 
-    For a pointwise-ordered pair the monotonicity result predicts the gap is
-    nonnegative up to eigen-solve noise.  op1/op2 must correspond to
-    pair.field_1/pair.field_2.
+    For a pointwise-ordered pair (the operators of OrderedPair.field_1 and
+    field_2) the monotonicity result predicts the gap is nonnegative up to
+    eigen-solve noise.
     """
-    lower, upper = pair.ascending()
-    if lower is pair.field_2:
-        op1, op2 = op2, op1
-    return float(_symmetrized_eigs(op1, op2).min())
+    return float(_symmetrized_eigs(op_lower, op_upper).min())
 
 
 def operator_distance(op1: NtDOperator, op2: NtDOperator) -> float:
@@ -186,9 +148,6 @@ class StabilityReport:
     max_ratio: float | None
     min_ratio: float | None
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def stability_ratio_experiment(mesh: Mesh, family: list[OrderedPair]) -> StabilityReport:
     """Ratio d(params) / |NtD difference| over a family of ordered pairs.
@@ -204,8 +163,8 @@ def stability_ratio_experiment(mesh: Mesh, family: list[OrderedPair]) -> Stabili
         if dp == 0.0:
             skipped += 1
             continue
-        op1 = build_ntd(mesh, pair.field_1)
-        op2 = build_ntd(mesh, pair.field_2)
+        op1 = build_ntd(ElasticitySolver(mesh, pair.field_1))
+        op2 = build_ntd(ElasticitySolver(mesh, pair.field_2))
         dop = operator_distance(op1, op2)
         dps.append(dp)
         dops.append(dop)
@@ -239,4 +198,4 @@ def quadrant_pair(mesh: Mesh, rng: np.random.Generator, bounds=(0.5, 4.0, 0.5, 8
     lam_b, mu_b = draw()
     lo = LameField(np.minimum(lam_a, lam_b), np.minimum(mu_a, mu_b), bounds=bounds)
     hi = LameField(np.maximum(lam_a, lam_b), np.maximum(mu_a, mu_b), bounds=bounds)
-    return OrderedPair(lo, hi, LEQ)
+    return OrderedPair(lo, hi)

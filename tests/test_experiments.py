@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from elastinv.cli import EXIT_CONFIG, EXIT_OK, main
+from elastinv import experiments
+from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     PER_ELEMENT_BOUNDS,
     ConfigError,
@@ -64,6 +65,16 @@ class TestConfig:
             {"loads": []},
             {"loads": [(0.1, math.inf)]},
             {"loads": [(0.1, 0.2, 0.3)]},
+            {"truth": {"type": "constant"}},
+            {"truth": {"type": "constant", "lam": 3.0, "mu": -7.0}},
+            {"truth": {"type": "constant", "lam": math.nan, "mu": 7.0}},
+            {"truth": {"type": "constant", "lam": "three", "mu": 7.0}},
+            {"truth": {"type": "radial-mu", "lam": 0.0}},
+            {"truth": {"type": "radial-mu", "lam": [1.0, 2.0]}},
+            {"truth": {"type": "file"}},
+            {"truth": {"type": "file", "path": 3}},
+            {"truth": {"type": "checkerboard"}},
+            {"truth": "constant"},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -102,12 +113,45 @@ class TestTruthFields:
         with pytest.raises(ConfigError):
             truth_field({"type": "checkerboard"}, mesh)
 
+    def test_file(self, tmp_path):
+        mesh = generate_disk_mesh(0.3)
+        path = tmp_path / "truth.txt"
+        np.savetxt(path, np.column_stack([np.full(mesh.n_elements, 2.0), np.arange(1.0, mesh.n_elements + 1)]))
+        field = truth_field({"type": "file", "path": str(path)}, mesh)
+        assert np.all(field.lam == 2.0) and field.mu[-1] == mesh.n_elements
+
+    @pytest.mark.parametrize(
+        "row, per_element",
+        [("1.0 2.0\n", False), ("1.0 2.0 3.0\n", True), ("a b\n", True), ("1.0 nan\n", True)],
+        ids=["one-row", "three-columns", "text", "nan"],
+    )
+    def test_bad_file_is_config_error(self, tmp_path, row, per_element):
+        mesh = generate_disk_mesh(0.3)
+        path = tmp_path / "truth.txt"
+        path.write_text(row * (mesh.n_elements if per_element else 1))
+        with pytest.raises(ConfigError):
+            truth_field({"type": "file", "path": str(path)}, mesh)
+
 
 def test_relative_l2_error_basics():
     mesh = generate_disk_mesh(0.3)
     exact = np.full(mesh.n_elements, 2.0)
     assert relative_l2_error(mesh, exact, exact) == 0.0
     assert np.isclose(relative_l2_error(mesh, 1.5 * exact, exact), 0.5)
+
+
+@pytest.mark.parametrize("kind", ["monotonicity", "stability", "forward"])
+def test_runner_without_data_builds_one_mesh(kind, monkeypatch):
+    sizes = []
+    generate = experiments.generate_disk_mesh
+
+    def counting_generate(target_h):
+        sizes.append(target_h)
+        return generate(target_h)
+
+    monkeypatch.setattr(experiments, "generate_disk_mesh", counting_generate)
+    run_experiment(ExperimentConfig(kind=kind, target_h=0.3, n_pairs=1, data_mesh="refine"))
+    assert sizes == [0.3]
 
 
 def test_example3_arc_default_differs():
@@ -207,6 +251,40 @@ class TestCli:
         written = json.loads((out / "config.json").read_text())
         assert written["seed"] == 9
         assert written["n_pairs"] == 2
+
+    @pytest.mark.parametrize(
+        "truth",
+        [{"type": "constant"}, {"type": "file", "path": "nope.txt"}],
+    )
+    def test_bad_truth_is_config_error(self, tmp_path, capsys, monkeypatch, truth):
+        monkeypatch.chdir(tmp_path)  # where nope.txt does not exist
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"truth": truth, "target_h": 0.3}))
+        out = tmp_path / "fw"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--noise", "0.5", "--rho", "3"],
+            ["monotonicity", "--rho", "1e-4"],
+            ["forward", "--data-mesh", "refine"],
+            ["example2", "--noise", "0.03"],
+        ],
+    )
+    def test_flag_of_another_runner_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mesh-h", "0.3", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_custom_flags_override_config(self):
+        argv = ["custom", "--noise", "0.03", "--rho", "1e-4", "--data-mesh", "refine", "--mesh-h", "0.3"]
+        config = config_from_args(build_parser().parse_args(argv))
+        assert (config.noise, config.rho, config.data_mesh, config.target_h) == (0.03, 1e-4, "refine", 0.3)
 
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -125,41 +125,41 @@ class TestAssembly:
 class TestNeumannSolve:
     def test_zero_load_zero_solution(self, medium_mesh, field_37):
         sol = ElasticitySolver(medium_mesh, field_37).solve_neumann(
-            SurfaceLoad(constant=(0.0, 0.0))
-        )
+            [SurfaceLoad(constant=(0.0, 0.0))]
+        )[0]
         assert np.all(sol.displacement == 0.0)
 
     def test_linearity_in_load(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        u1 = solver.solve_neumann(SurfaceLoad(constant=(0.1, 0.1)))
-        u2 = solver.solve_neumann(SurfaceLoad(constant=(0.2, 0.2)))
+        u1 = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.1))])[0]
+        u2 = solver.solve_neumann([SurfaceLoad(constant=(0.2, 0.2))])[0]
         assert np.allclose(u2.displacement, 2.0 * u1.displacement, rtol=1e-12, atol=1e-16)
 
     def test_energy_identity(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.1))
-        sol = solver.solve_neumann(g)
+        sol = solver.solve_neumann([g])[0]
         boundary = solver.boundary_pairing(g, sol)
         interior = solver.interior_energy(sol)
         assert abs(boundary - interior) <= 1e-10 * abs(interior)
 
     def test_dirichlet_nodes_exactly_zero(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        sol = solver.solve_neumann(SurfaceLoad(constant=(0.3, 0.5)))
+        sol = solver.solve_neumann([SurfaceLoad(constant=(0.3, 0.5))])[0]
         assert np.all(sol.displacement[medium_mesh.dirichlet_nodes] == 0.0)
 
     def test_galerkin_residual(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.2))
         b = solver.load_block(g.nodal_values(medium_mesh).reshape(-1, 1))[:, 0]
-        sol = solver.solve_neumann(g)
+        sol = solver.solve_neumann([g])[0]
         r = solver.K_free @ sol.displacement.ravel()[solver.disc.free_dofs] - b
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
         sol = ElasticitySolver(medium_mesh, field_37).solve_neumann(
-            SurfaceLoad(constant=(0.3, 0.5))
-        )
+            [SurfaceLoad(constant=(0.3, 0.5))]
+        )[0]
         trace = np.trace(sol.per_element_strain, axis1=1, axis2=2)
         assert np.array_equal(sol.per_element_div, trace)
         assert np.array_equal(sol.per_element_strain, sol.per_element_strain.transpose(0, 2, 1))
@@ -167,27 +167,27 @@ class TestNeumannSolve:
     def test_load_size_mismatch(self, medium_mesh, field_37):
         bad = SurfaceLoad(nodal=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            ElasticitySolver(medium_mesh, field_37).solve_neumann(bad)
+            ElasticitySolver(medium_mesh, field_37).solve_neumann([bad])
 
 
 class TestDirichletSolve:
     def test_zero_trace_zero_solution(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         m = len(medium_mesh.neumann_nodes)
-        sol = solver.solve_dirichlet(np.zeros((m, 2)))
+        sol = solver.solve_dirichlet([np.zeros((m, 2))])[0]
         assert np.all(sol.displacement == 0.0)
 
     def test_consistency_with_neumann(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        u_n = solver.solve_neumann(SurfaceLoad(constant=(0.1, 0.1)))
-        u_d = solver.solve_dirichlet(u_n.trace_on_neumann)
+        u_n = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.1))])[0]
+        u_d = solver.solve_dirichlet([u_n.trace_on_neumann])[0]
         assert np.abs(u_d.displacement - u_n.displacement).max() <= 1e-12
 
     def test_scaling(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        trace = solver.solve_neumann(SurfaceLoad(constant=(0.1, 0.2))).trace_on_neumann
-        u1 = solver.solve_dirichlet(trace)
-        u3 = solver.solve_dirichlet(3.0 * trace)
+        trace = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.2))])[0].trace_on_neumann
+        u1 = solver.solve_dirichlet([trace])[0]
+        u3 = solver.solve_dirichlet([3.0 * trace])[0]
         assert np.allclose(u3.displacement, 3.0 * u1.displacement, rtol=1e-12, atol=1e-16)
 
     def test_nonfinite_trace_rejected(self, medium_mesh, field_37):
@@ -195,7 +195,7 @@ class TestDirichletSolve:
         m = len(medium_mesh.neumann_nodes)
         bad = np.full((m, 2), np.nan)
         with pytest.raises(FemError):
-            solver.solve_dirichlet(bad)
+            solver.solve_dirichlet([bad])
 
 
 def test_monotone_boundary_energy(medium_mesh):
@@ -203,8 +203,8 @@ def test_monotone_boundary_energy(medium_mesh):
     g = SurfaceLoad(constant=(0.1, 0.1))
     small = ElasticitySolver(medium_mesh, LameField.constant(1.0, 1.0, medium_mesh.n_elements))
     large = ElasticitySolver(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
-    e_small = small.boundary_pairing(g, small.solve_neumann(g))
-    e_large = large.boundary_pairing(g, large.solve_neumann(g))
+    e_small = small.boundary_pairing(g, small.solve_neumann([g])[0])
+    e_large = large.boundary_pairing(g, large.solve_neumann([g])[0])
     assert e_large <= e_small
 
 
@@ -247,16 +247,16 @@ class TestBlockSolves:
         solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
         loads = [SurfaceLoad(nodal=random_trace(quarter_mesh, rng)) for _ in range(6)]
         loads.append(SurfaceLoad(constant=(0.3, 0.5)))
-        for block, g in zip(solver.solve_neumann_block(loads), loads):
-            col = solver.solve_neumann(g).displacement
+        for block, g in zip(solver.solve_neumann(loads), loads):
+            col = solver.solve_neumann([g])[0].displacement
             assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
 
     def test_dirichlet_block_equals_columns(self, quarter_mesh):
         rng = np.random.default_rng(22)
         solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
         traces = [random_trace(quarter_mesh, rng) for _ in range(6)]
-        for block, f in zip(solver.solve_dirichlet_block(traces), traces):
-            col = solver.solve_dirichlet(f).displacement
+        for block, f in zip(solver.solve_dirichlet(traces), traces):
+            col = solver.solve_dirichlet([f])[0].displacement
             assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
 
     def test_bad_column_fails_despite_block_norm(self, medium_mesh, field_37):
@@ -277,7 +277,7 @@ class TestBlockSolves:
         block_rel = np.linalg.norm(solver.K_free @ X - B) / np.linalg.norm(B)
         assert block_rel <= 1e-12  # one norm over the block would accept this solve
         with pytest.raises(FemError, match="column 1"):
-            solver.solve_neumann_block(loads)
+            solver.solve_neumann(loads)
 
     def test_mesh_data_shared_between_solvers(self, medium_mesh, field_37, field_11):
         a = ElasticitySolver(medium_mesh, field_37)

@@ -13,10 +13,10 @@ from .mesh import (
 from .fem import (
     ElasticitySolver,
     FemError,
-    ForwardSolution,
     LameField,
     SurfaceLoad,
     isotropic_stress,
+    load_coefficients,
 )
 from .ntd import (
     NtDOperator,

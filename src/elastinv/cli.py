@@ -8,11 +8,12 @@ declarative setup and individual flags override it.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .experiments import (
+    DATA_MESH_KINDS,
     EXPERIMENT_KINDS,
+    NOISE_KINDS,
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
@@ -26,9 +27,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-# only these runners read the noise level and regularization weight, or a data mesh
-NOISE_KINDS = ("custom",)
-DATA_MESH_KINDS = ("example1", "example2", "example3", "custom")
 # config fields a flag can override, under the flag's dest
 OVERRIDES = ("seed", "noise", "rho", "target_h", "data_mesh")
 
@@ -59,12 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    # a subcommand defines only the flags its runner reads
+    # a subcommand defines only the flags its runner reads; the config is
+    # validated as the subcommand's kind, whatever kind the file names
     overrides = {
         key: value for key in OVERRIDES if (value := getattr(args, key, None)) is not None
     }
-    return dataclasses.replace(config, kind=args.command, **overrides)
+    overrides["kind"] = args.command
+    if args.config:
+        return ExperimentConfig.from_file(args.config, **overrides)
+    return ExperimentConfig(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

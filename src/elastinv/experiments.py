@@ -19,7 +19,7 @@ import numpy as np
 
 from . import inversion as inv
 from . import ntd
-from .fem import ElasticitySolver, LameField, SurfaceLoad
+from .fem import ElasticitySolver, LameField, SurfaceLoad, load_coefficients
 from .mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 
 SCHEMA_VERSION = 1
@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.data_mesh not in ("same", "refine"):
             raise ConfigError(f"data_mesh must be 'same' or 'refine', got {self.data_mesh!r}")
+        if self.data_mesh == "refine" and self.kind not in DATA_MESH_KINDS:
+            raise ConfigError(f"{self.kind} builds no data mesh, so data_mesh must be 'same'")
         if not (0.0 < self.target_h < 1.0):
             raise ConfigError(f"target_h out of range: {self.target_h!r}")
         if self.schema_version != SCHEMA_VERSION:
@@ -78,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
         if not (0.0 <= self.rho < math.inf):
             raise ConfigError(f"rho must be finite and nonnegative, got {self.rho!r}")
+        if (self.noise or self.rho) and self.kind not in NOISE_KINDS:
+            raise ConfigError(f"{self.kind} reads neither noise nor rho, so both must be 0")
         if not (isinstance(self.n_pairs, int) and self.n_pairs >= 1):
             raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
@@ -114,12 +118,15 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """The config in a JSON file, with the given fields replaced before validation."""
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(data)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        return cls.from_dict({**data, **overrides})
 
 
 # -- truth fields ----------------------------------------------------------
@@ -439,12 +446,13 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
     mesh = build_mesh(config, config.target_h)
     truth = truth_field(config.truth, mesh)
     solver = ElasticitySolver(mesh, truth)
-    sols = solver.solve_neumann([SurfaceLoad(constant=tuple(g)) for g in config.loads])
+    loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
+    T = solver.solve_neumann(load_coefficients(mesh, loads))[solver.disc.trace_dofs]
     traces = {}
-    for k, (g, sol) in enumerate(zip(config.loads, sols)):
+    for k, g in enumerate(config.loads):
         traces[f"load_{k}"] = {
             "load": list(g),
-            "trace": [[float(a), float(b)] for a, b in sol.trace_on_neumann],
+            "trace": [[float(a), float(b)] for a, b in T[:, k].reshape(-1, 2)],
         }
     report = {
         "kind": "forward",
@@ -474,6 +482,9 @@ RUNNERS = {
     "custom": run_custom,
 }
 EXPERIMENT_KINDS = tuple(RUNNERS)
+# only these runners read the noise level and regularization weight, or a data mesh
+NOISE_KINDS = ("custom",)
+DATA_MESH_KINDS = ("example1", "example2", "example3", "custom")
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:

@@ -102,47 +102,23 @@ class LameField:
 
 @dataclass(frozen=True)
 class SurfaceLoad:
-    """Surface load on the Neumann boundary.
+    """Constant surface load on the Neumann boundary, a finite 2-vector.
 
-    Either a constant 2-vector (interpolated into the nodal trace space) or
-    explicit nodal values, one 2-vector per Neumann node in mesh order.
+    It is interpolated into the nodal trace space by load_coefficients.
     """
 
-    constant: tuple[float, float] | None = None
-    nodal: np.ndarray | None = None
+    constant: tuple[float, float]
 
     def __post_init__(self):
-        if (self.constant is None) == (self.nodal is None):
-            raise ValueError("exactly one of constant/nodal must be given")
-        if self.nodal is not None:
-            arr = np.asarray(self.nodal, dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
-                raise ValueError("nodal load must be a finite (m, 2) array")
-            object.__setattr__(self, "nodal", arr)
-        else:
-            if not np.all(np.isfinite(self.constant)):
-                raise ValueError("constant load must be finite")
-
-    def nodal_values(self, mesh: Mesh) -> np.ndarray:
-        """(m, 2) load coefficients on the Neumann nodes of mesh."""
-        m = len(mesh.neumann_nodes)
-        if self.constant is not None:
-            return np.tile(np.asarray(self.constant, dtype=float), (m, 1))
-        if self.nodal.shape[0] != m:
-            raise ValueError(
-                f"nodal load has {self.nodal.shape[0]} rows, mesh has {m} Neumann nodes"
-            )
-        return self.nodal
+        value = np.asarray(self.constant, dtype=float)
+        if value.shape != (2,) or not np.all(np.isfinite(value)):
+            raise ValueError(f"constant load must be a finite 2-vector, got {self.constant!r}")
 
 
-@dataclass(eq=False)
-class ForwardSolution:
-    """Nodal displacement with per-element strain and divergence."""
-
-    displacement: np.ndarray        # (n_nodes, 2)
-    trace_on_neumann: np.ndarray    # (m, 2) on mesh.neumann_nodes
-    per_element_strain: np.ndarray  # (n_el, 2, 2), symmetric
-    per_element_div: np.ndarray     # (n_el,)
+def load_coefficients(mesh: Mesh, loads: list[SurfaceLoad]) -> np.ndarray:
+    """(2m, k) load coefficients on the interleaved Neumann trace dofs, one column per load."""
+    m = len(mesh.neumann_nodes)
+    return np.column_stack([np.tile(np.asarray(g.constant, dtype=float), m) for g in loads])
 
 
 class Discretization:
@@ -328,16 +304,6 @@ class ElasticitySolver:
     def _dirichlet_factor(self):
         return spla.splu(self.K_interior.tocsc())
 
-    def _package(self, u_flat: np.ndarray) -> ForwardSolution:
-        u = u_flat.reshape(-1, 2)
-        strain, div = self.disc.strains(u)
-        return ForwardSolution(
-            displacement=u,
-            trace_on_neumann=u[self.mesh.neumann_nodes],
-            per_element_strain=strain,
-            per_element_div=div,
-        )
-
     @staticmethod
     def _solve_refined(factor, K, B: np.ndarray) -> np.ndarray:
         # one step of iterative refinement keeps the relative residual at
@@ -347,57 +313,38 @@ class ElasticitySolver:
         _check_residuals(K, X, B)
         return X
 
-    # -- traction (Neumann) solves -----------------------------------------
+    def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
+        """X as a float block on the Neumann trace dofs, or FemError."""
+        X = np.asarray(X, dtype=float)
+        rows = len(self.disc.trace_dofs)
+        if X.ndim != 2 or X.shape[0] != rows or not np.all(np.isfinite(X)):
+            raise FemError(f"{what} must be a finite ({rows}, k) block, got shape {X.shape}")
+        return X
 
-    def load_block(self, coeffs: np.ndarray) -> np.ndarray:
-        """Free-dof right-hand sides M g for load coefficient columns (2m, k)."""
+    def solve_neumann(self, coeffs: np.ndarray) -> np.ndarray:
+        """Traction solves: the (2n, k) nodal displacements for a (2m, k) block
+        of load coefficients on disc.trace_dofs, clamped part fixed."""
         disc = self.disc
+        coeffs = self._trace_block(coeffs, "load coefficients")
         B = np.zeros((disc.n_dofs, coeffs.shape[1]))
         B[disc.trace_dofs] = disc.boundary_mass @ coeffs
-        return B[disc.free_dofs]
-
-    def neumann_displacements(self, coeffs: np.ndarray) -> np.ndarray:
-        """Traction solves for load coefficient columns (2m, k); nodal dofs (2n, k)."""
-        U = np.zeros((self.disc.n_dofs, coeffs.shape[1]))
-        U[self.disc.free_dofs] = self._solve_refined(
-            self._neumann_factor, self.K_free, self.load_block(coeffs)
-        )
+        U = np.zeros_like(B)
+        U[disc.free_dofs] = self._solve_refined(self._neumann_factor, self.K_free, B[disc.free_dofs])
         return U
 
-    def solve_neumann(self, loads: list[SurfaceLoad]) -> list[ForwardSolution]:
-        """Traction problems, one per load: loaded Neumann part, clamped elsewhere."""
-        coeffs = np.column_stack([g.nodal_values(self.mesh).ravel() for g in loads])
-        return [self._package(u) for u in self.neumann_displacements(coeffs).T]
-
-    # -- prescribed-trace (Dirichlet) solves -------------------------------
-
-    def solve_dirichlet(self, traces: list[np.ndarray]) -> list[ForwardSolution]:
-        """Solve with each prescribed displacement trace on the Neumann nodes.
-
-        Each trace is an (m, 2) array on mesh.neumann_nodes; the clamped part
-        stays zero and the equation holds against interior test functions.
-        """
+    def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:
+        """Prescribed-trace solves: the (2n, k) nodal displacements for a (2m, k)
+        block of traces on disc.trace_dofs, clamped part fixed; the equation
+        holds against interior test functions."""
         disc = self.disc
-        m = len(self.mesh.neumann_nodes)
-        U = np.zeros((disc.n_dofs, len(traces)))
-        for j, trace in enumerate(traces):
-            trace = np.asarray(trace, dtype=float)
-            if trace.shape != (m, 2) or not np.all(np.isfinite(trace)):
-                raise FemError(f"trace data must be a finite ({m}, 2) array")
-            U[disc.trace_dofs, j] = trace.ravel()
+        traces = self._trace_block(traces, "trace data")
+        U = np.zeros((disc.n_dofs, traces.shape[1]))
+        U[disc.trace_dofs] = traces
         B = -(self.K @ U)[disc.interior_dofs]
         U[disc.interior_dofs] = self._solve_refined(self._dirichlet_factor, self.K_interior, B)
-        return [self._package(u) for u in U.T]
+        return U
 
-    # -- energies ---------------------------------------------------------
-
-    def interior_energy(self, sol: ForwardSolution) -> float:
-        """Exact volume integral of C(strain):strain over the mesh."""
-        dens = strain_energy_density(self.field, sol.per_element_strain, sol.per_element_div)
-        return float(np.dot(self.disc.area, dens))
-
-    def boundary_pairing(self, load: SurfaceLoad, sol: ForwardSolution) -> float:
-        """Boundary integral of load . trace over the Neumann part."""
-        g = load.nodal_values(self.mesh).ravel()
-        t = sol.trace_on_neumann.ravel()
-        return float(g @ (self.disc.boundary_mass @ t))
+    def interior_energy(self, u: np.ndarray) -> float:
+        """Exact volume integral of C(strain):strain for one (2n,) displacement column."""
+        strain, div = self.disc.strains(u.reshape(-1, 2))
+        return float(np.dot(self.disc.area, strain_energy_density(self.field, strain, div)))

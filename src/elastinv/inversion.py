@@ -12,6 +12,7 @@ parameterization's admissible box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .fem import (
     ElasticitySolver,
     LameField,
     SurfaceLoad,
+    load_coefficients,
     release_free_heap,
     strain_energy_density,
 )
@@ -77,9 +79,11 @@ def generate_measurements(
     reproducible per (epsilon, seed).
     """
     solver = ElasticitySolver(mesh, field)
-    traces = [sol.trace_on_neumann for sol in solver.solve_neumann(loads)]
+    U = solver.solve_neumann(load_coefficients(mesh, loads))
+    # one (m, 2) trace per load; the noise is drawn on this (k, m, 2) stack
+    traces = U[solver.disc.trace_dofs].T.reshape(len(loads), -1, 2)
     if noise is not None:
-        traces = add_noise(np.stack(traces), noise)
+        traces = add_noise(traces, noise)
     return MeasurementSet(list(zip(loads, traces)))
 
 
@@ -129,19 +133,20 @@ def kohn_vogelius(
     prescribed-trace block.  Returns (J, dJ/dlam, dJ/dmu).
     """
     solver = ElasticitySolver(mesh, field)
-    neumann = solver.solve_neumann([g for g, _ in measurements.pairs])
-    dirichlet = solver.solve_dirichlet([f for _, f in measurements.pairs])
+    disc = solver.disc
+    U_n = solver.solve_neumann(load_coefficients(mesh, [g for g, _ in measurements.pairs]))
+    U_d = solver.solve_dirichlet(np.column_stack([np.ravel(f) for _, f in measurements.pairs]))
     area = mesh.element_areas
     j = 0.0
     g_lam = np.zeros(mesh.n_elements)
     g_mu = np.zeros(mesh.n_elements)
-    for u_n, u_d in zip(neumann, dirichlet):
-        dstrain = u_n.per_element_strain - u_d.per_element_strain
-        ddiv = u_n.per_element_div - u_d.per_element_div
-        j += float(np.dot(area, strain_energy_density(field, dstrain, ddiv)))
-        ss_n = np.einsum("eij,eij->e", u_n.per_element_strain, u_n.per_element_strain)
-        ss_d = np.einsum("eij,eij->e", u_d.per_element_strain, u_d.per_element_strain)
-        g_lam += (u_d.per_element_div**2 - u_n.per_element_div**2) * area
+    for k in range(len(measurements.pairs)):
+        strain_n, div_n = disc.strains(U_n[:, k].reshape(-1, 2))
+        strain_d, div_d = disc.strains(U_d[:, k].reshape(-1, 2))
+        j += float(np.dot(area, strain_energy_density(field, strain_n - strain_d, div_n - div_d)))
+        ss_n = np.einsum("eij,eij->e", strain_n, strain_n)
+        ss_d = np.einsum("eij,eij->e", strain_d, strain_d)
+        g_lam += (div_d**2 - div_n**2) * area
         g_mu += 2.0 * (ss_d - ss_n) * area
     if rho:
         j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
@@ -210,10 +215,13 @@ class InversionConfig:
     gradient_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise ValueError("rho must be nonnegative")
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("gradient tolerance must be positive")
+        # the negated comparisons also reject NaN
+        if not (0.0 <= self.rho < math.inf):
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
+        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
+            raise ValueError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
+        if not self.gradient_tolerance > 0.0:
+            raise ValueError(f"gradient tolerance must be positive, got {self.gradient_tolerance!r}")
 
 
 @dataclass

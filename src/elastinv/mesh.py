@@ -192,7 +192,8 @@ class Mesh:
         return cls(nodes, tris, edges.reshape(-1, 2), tags)
 
 
-def _ring_points(target_h: float) -> np.ndarray:
+def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
+    """Centre and ring nodes, counter-clockwise per ring, outer ring last; and its size."""
     n_rings = max(2, int(round(1.0 / target_h)))
     pts = [(0.0, 0.0)]
     for i in range(1, n_rings + 1):
@@ -201,7 +202,7 @@ def _ring_points(target_h: float) -> np.ndarray:
         offset = (math.pi / m) * (i % 2)
         theta = offset + 2.0 * math.pi * np.arange(m) / m
         pts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-    return np.array(pts)
+    return np.array(pts), m
 
 
 def generate_disk_mesh(target_h: float) -> Mesh:
@@ -214,7 +215,7 @@ def generate_disk_mesh(target_h: float) -> Mesh:
     if not (0.0 < target_h < 1.0):
         raise MeshError(f"target_h must lie in (0, 1), got {target_h!r}")
 
-    points = _ring_points(target_h)
+    points, n_outer = _ring_points(target_h)
     tri = Delaunay(points)
     simplices = tri.simplices.copy()
 
@@ -226,22 +227,12 @@ def generate_disk_mesh(target_h: float) -> Mesh:
     # stable element order regardless of qhull internals
     simplices = simplices[np.lexsort(simplices.T[::-1])]
 
-    edges = _hull_edges(simplices)
+    # the outer ring is the boundary; consecutive nodes run counter-clockwise,
+    # the orientation of the triangle that owns each edge
+    ring = np.arange(len(points) - n_outer, len(points))
+    edges = np.column_stack([ring, np.roll(ring, -1)])
     mesh = Mesh(points, simplices, edges, [NEUMANN] * len(edges))
     return partition_boundary(mesh, BoundaryPartitionSpec())
-
-
-def _hull_edges(simplices: np.ndarray) -> np.ndarray:
-    """Edges used by exactly one triangle, ordered CCW by midpoint angle."""
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
-    seen: dict[tuple[int, int], int] = {}
-    for a, b, c in simplices:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            seen[key] = seen.get(key, 0) + 1
-            counts[key] = (u, v)  # keep CCW orientation of the owning triangle
-    boundary = [counts[k] for k, cnt in seen.items() if cnt == 1]
-    return np.array(boundary, dtype=np.int64)
 
 
 def partition_boundary(mesh: Mesh, spec: BoundaryPartitionSpec) -> Mesh:

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from elastinv import experiments
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     PER_ELEMENT_BOUNDS,
@@ -25,7 +24,7 @@ from elastinv.mesh import generate_disk_mesh
 class TestConfig:
     def test_roundtrip_identity(self):
         config = ExperimentConfig(
-            kind="stability",
+            kind="custom",
             target_h=0.3,
             dirichlet_arc=(0.5, 2.5),
             noise=0.03,
@@ -75,6 +74,11 @@ class TestConfig:
             {"truth": {"type": "file", "path": 3}},
             {"truth": {"type": "checkerboard"}},
             {"truth": "constant"},
+            # fields that only the custom runner reads
+            {"noise": 0.03},
+            {"rho": 1e-5},
+            {"kind": "stability", "noise": 0.5, "rho": 3.0},
+            {"kind": "example2", "rho": 1e-4},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -141,17 +145,9 @@ def test_relative_l2_error_basics():
 
 
 @pytest.mark.parametrize("kind", ["monotonicity", "stability", "forward"])
-def test_runner_without_data_builds_one_mesh(kind, monkeypatch):
-    sizes = []
-    generate = experiments.generate_disk_mesh
-
-    def counting_generate(target_h):
-        sizes.append(target_h)
-        return generate(target_h)
-
-    monkeypatch.setattr(experiments, "generate_disk_mesh", counting_generate)
-    run_experiment(ExperimentConfig(kind=kind, target_h=0.3, n_pairs=1, data_mesh="refine"))
-    assert sizes == [0.3]
+def test_runner_without_data_rejects_refine(kind):
+    with pytest.raises(ConfigError, match="data_mesh"):
+        ExperimentConfig(kind=kind, target_h=0.3, n_pairs=1, data_mesh="refine")
 
 
 def test_example3_arc_default_differs():
@@ -242,6 +238,12 @@ class TestCli:
         code = main(["forward", "--config", str(bad), "--out", str(tmp_path / "y")])
         assert code == EXIT_CONFIG
 
+    def test_config_file_not_an_object_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps([["target_h", 0.25]]))
+        code = main(["forward", "--config", str(bad), "--out", str(tmp_path / "y")])
+        assert code == EXIT_CONFIG
+
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"kind": "stability", "target_h": 0.3, "n_pairs": 2}))
@@ -280,6 +282,20 @@ class TestCli:
             main([*argv, "--mesh-h", "0.3", "--out", str(out)])
         assert exc.value.code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_ignored_config_fields_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": 0.5, "rho": 3, "data_mesh": "refine", "target_h": 0.3, "n_pairs": 1}))
+        out = tmp_path / "st"
+        code = main(["stability", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_file_without_kind_runs_as_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"noise": 0.03, "rho": 1e-4, "data_mesh": "refine", "target_h": 0.3}))
+        config = config_from_args(build_parser().parse_args(["custom", "--config", str(cfg)]))
+        assert (config.kind, config.noise, config.rho, config.data_mesh) == ("custom", 0.03, 1e-4, "refine")
 
     def test_custom_flags_override_config(self):
         argv = ["custom", "--noise", "0.03", "--rho", "1e-4", "--data-mesh", "refine", "--mesh-h", "0.3"]

@@ -19,11 +19,31 @@ from elastinv.fem import (
     assemble_stiffness,
     discretization,
     isotropic_stress,
+    load_coefficients,
     neumann_mass_matrix,
     release_free_heap,
 )
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from conftest import random_field, random_trace
+
+
+def solve_load(solver, g):
+    """The (2n,) displacement of the traction solve for one SurfaceLoad."""
+    return solver.solve_neumann(load_coefficients(solver.mesh, [g]))[:, 0]
+
+
+def free_rhs(solver, coeffs):
+    """Free-dof right-hand sides M g of the traction solves for (2m, k) load coefficients."""
+    disc = solver.disc
+    B = np.zeros((disc.n_dofs, coeffs.shape[1]))
+    B[disc.trace_dofs] = disc.boundary_mass @ coeffs
+    return B[disc.free_dofs]
+
+
+def boundary_pairing(solver, g, u):
+    """Boundary integral of load g . trace of u over the Neumann part."""
+    coeffs = load_coefficients(solver.mesh, [g])[:, 0]
+    return float(coeffs @ (solver.disc.boundary_mass @ u[solver.disc.trace_dofs]))
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 positive = st.floats(0.1, 100.0, allow_nan=False)
@@ -124,78 +144,82 @@ class TestAssembly:
 
 class TestNeumannSolve:
     def test_zero_load_zero_solution(self, medium_mesh, field_37):
-        sol = ElasticitySolver(medium_mesh, field_37).solve_neumann(
-            [SurfaceLoad(constant=(0.0, 0.0))]
-        )[0]
-        assert np.all(sol.displacement == 0.0)
+        u = solve_load(ElasticitySolver(medium_mesh, field_37), SurfaceLoad(constant=(0.0, 0.0)))
+        assert np.all(u == 0.0)
 
     def test_linearity_in_load(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        u1 = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.1))])[0]
-        u2 = solver.solve_neumann([SurfaceLoad(constant=(0.2, 0.2))])[0]
-        assert np.allclose(u2.displacement, 2.0 * u1.displacement, rtol=1e-12, atol=1e-16)
+        u1 = solve_load(solver, SurfaceLoad(constant=(0.1, 0.1)))
+        u2 = solve_load(solver, SurfaceLoad(constant=(0.2, 0.2)))
+        assert np.allclose(u2, 2.0 * u1, rtol=1e-12, atol=1e-16)
 
     def test_energy_identity(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.1))
-        sol = solver.solve_neumann([g])[0]
-        boundary = solver.boundary_pairing(g, sol)
-        interior = solver.interior_energy(sol)
+        u = solve_load(solver, g)
+        boundary = boundary_pairing(solver, g, u)
+        interior = solver.interior_energy(u)
         assert abs(boundary - interior) <= 1e-10 * abs(interior)
 
     def test_dirichlet_nodes_exactly_zero(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        sol = solver.solve_neumann([SurfaceLoad(constant=(0.3, 0.5))])[0]
-        assert np.all(sol.displacement[medium_mesh.dirichlet_nodes] == 0.0)
+        u = solve_load(solver, SurfaceLoad(constant=(0.3, 0.5))).reshape(-1, 2)
+        assert np.all(u[medium_mesh.dirichlet_nodes] == 0.0)
 
     def test_galerkin_residual(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.2))
-        b = solver.load_block(g.nodal_values(medium_mesh).reshape(-1, 1))[:, 0]
-        sol = solver.solve_neumann([g])[0]
-        r = solver.K_free @ sol.displacement.ravel()[solver.disc.free_dofs] - b
+        b = free_rhs(solver, load_coefficients(medium_mesh, [g]))[:, 0]
+        r = solver.K_free @ solve_load(solver, g)[solver.disc.free_dofs] - b
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
-        sol = ElasticitySolver(medium_mesh, field_37).solve_neumann(
-            [SurfaceLoad(constant=(0.3, 0.5))]
-        )[0]
-        trace = np.trace(sol.per_element_strain, axis1=1, axis2=2)
-        assert np.array_equal(sol.per_element_div, trace)
-        assert np.array_equal(sol.per_element_strain, sol.per_element_strain.transpose(0, 2, 1))
+        solver = ElasticitySolver(medium_mesh, field_37)
+        u = solve_load(solver, SurfaceLoad(constant=(0.3, 0.5)))
+        strain, div = solver.disc.strains(u.reshape(-1, 2))
+        trace = np.trace(strain, axis1=1, axis2=2)
+        assert np.array_equal(div, trace)
+        assert np.array_equal(strain, strain.transpose(0, 2, 1))
 
     def test_load_size_mismatch(self, medium_mesh, field_37):
-        bad = SurfaceLoad(nodal=np.zeros((3, 2)))
+        solver = ElasticitySolver(medium_mesh, field_37)
+        rows = len(solver.disc.trace_dofs)
+        for bad in (np.zeros((3, 1)), np.zeros((rows + 2, 1)), np.zeros(rows)):
+            with pytest.raises(FemError):
+                solver.solve_neumann(bad)
+
+    @pytest.mark.parametrize("constant", [(1.0, 2.0, 3.0), (1.0,), ((1.0, 2.0),), (np.nan, 0.0), "ab"])
+    def test_load_must_be_finite_2_vector(self, constant):
         with pytest.raises(ValueError):
-            ElasticitySolver(medium_mesh, field_37).solve_neumann([bad])
+            SurfaceLoad(constant=constant)
 
 
 class TestDirichletSolve:
     def test_zero_trace_zero_solution(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         m = len(medium_mesh.neumann_nodes)
-        sol = solver.solve_dirichlet([np.zeros((m, 2))])[0]
-        assert np.all(sol.displacement == 0.0)
+        U = solver.solve_dirichlet(np.zeros((2 * m, 1)))
+        assert np.all(U == 0.0)
 
     def test_consistency_with_neumann(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        u_n = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.1))])[0]
-        u_d = solver.solve_dirichlet([u_n.trace_on_neumann])[0]
-        assert np.abs(u_d.displacement - u_n.displacement).max() <= 1e-12
+        u_n = solve_load(solver, SurfaceLoad(constant=(0.1, 0.1)))
+        u_d = solver.solve_dirichlet(u_n[solver.disc.trace_dofs, None])[:, 0]
+        assert np.abs(u_d - u_n).max() <= 1e-12
 
     def test_scaling(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
-        trace = solver.solve_neumann([SurfaceLoad(constant=(0.1, 0.2))])[0].trace_on_neumann
-        u1 = solver.solve_dirichlet([trace])[0]
-        u3 = solver.solve_dirichlet([3.0 * trace])[0]
-        assert np.allclose(u3.displacement, 3.0 * u1.displacement, rtol=1e-12, atol=1e-16)
+        trace = solve_load(solver, SurfaceLoad(constant=(0.1, 0.2)))[solver.disc.trace_dofs, None]
+        u1 = solver.solve_dirichlet(trace)
+        u3 = solver.solve_dirichlet(3.0 * trace)
+        assert np.allclose(u3, 3.0 * u1, rtol=1e-12, atol=1e-16)
 
     def test_nonfinite_trace_rejected(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         m = len(medium_mesh.neumann_nodes)
-        bad = np.full((m, 2), np.nan)
+        bad = np.full((2 * m, 1), np.nan)
         with pytest.raises(FemError):
-            solver.solve_dirichlet([bad])
+            solver.solve_dirichlet(bad)
 
 
 def test_monotone_boundary_energy(medium_mesh):
@@ -203,8 +227,8 @@ def test_monotone_boundary_energy(medium_mesh):
     g = SurfaceLoad(constant=(0.1, 0.1))
     small = ElasticitySolver(medium_mesh, LameField.constant(1.0, 1.0, medium_mesh.n_elements))
     large = ElasticitySolver(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
-    e_small = small.boundary_pairing(g, small.solve_neumann([g])[0])
-    e_large = large.boundary_pairing(g, large.solve_neumann([g])[0])
+    e_small = boundary_pairing(small, g, solve_load(small, g))
+    e_large = boundary_pairing(large, g, solve_load(large, g))
     assert e_large <= e_small
 
 
@@ -245,19 +269,20 @@ class TestBlockSolves:
     def test_neumann_block_equals_columns(self, quarter_mesh):
         rng = np.random.default_rng(21)
         solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
-        loads = [SurfaceLoad(nodal=random_trace(quarter_mesh, rng)) for _ in range(6)]
-        loads.append(SurfaceLoad(constant=(0.3, 0.5)))
-        for block, g in zip(solver.solve_neumann(loads), loads):
-            col = solver.solve_neumann([g])[0].displacement
-            assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
+        coeffs = [random_trace(quarter_mesh, rng).ravel() for _ in range(6)]
+        coeffs.append(load_coefficients(quarter_mesh, [SurfaceLoad(constant=(0.3, 0.5))])[:, 0])
+        coeffs = np.column_stack(coeffs)
+        for block, g in zip(solver.solve_neumann(coeffs).T, coeffs.T):
+            col = solver.solve_neumann(g[:, None])[:, 0]
+            assert np.abs(block - col).max() <= 1e-13 * np.abs(col).max()
 
     def test_dirichlet_block_equals_columns(self, quarter_mesh):
         rng = np.random.default_rng(22)
         solver = ElasticitySolver(quarter_mesh, random_field(quarter_mesh, rng))
-        traces = [random_trace(quarter_mesh, rng) for _ in range(6)]
-        for block, f in zip(solver.solve_dirichlet(traces), traces):
-            col = solver.solve_dirichlet([f])[0].displacement
-            assert np.abs(block.displacement - col).max() <= 1e-13 * np.abs(col).max()
+        traces = np.column_stack([random_trace(quarter_mesh, rng).ravel() for _ in range(6)])
+        for block, f in zip(solver.solve_dirichlet(traces).T, traces.T):
+            col = solver.solve_dirichlet(f[:, None])[:, 0]
+            assert np.abs(block - col).max() <= 1e-13 * np.abs(col).max()
 
     def test_bad_column_fails_despite_block_norm(self, medium_mesh, field_37):
         """A failed small-load column raises although the block-wide residual is tiny."""
@@ -271,13 +296,15 @@ class TestBlockSolves:
                 return x
 
         solver._neumann_factor = Corrupting()
-        loads = [SurfaceLoad(constant=(1e6, 1e6)), SurfaceLoad(constant=(1e-6, 1e-6))]
-        B = solver.load_block(np.column_stack([g.nodal_values(medium_mesh).ravel() for g in loads]))
+        coeffs = load_coefficients(
+            medium_mesh, [SurfaceLoad(constant=(1e6, 1e6)), SurfaceLoad(constant=(1e-6, 1e-6))]
+        )
+        B = free_rhs(solver, coeffs)
         X = Corrupting().solve(B)
         block_rel = np.linalg.norm(solver.K_free @ X - B) / np.linalg.norm(B)
         assert block_rel <= 1e-12  # one norm over the block would accept this solve
         with pytest.raises(FemError, match="column 1"):
-            solver.solve_neumann(loads)
+            solver.solve_neumann(coeffs)
 
     def test_mesh_data_shared_between_solvers(self, medium_mesh, field_37, field_11):
         a = ElasticitySolver(medium_mesh, field_37)

@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -275,6 +276,22 @@ class TestBfgs:
         assert lam.min() >= box[0] and lam.max() <= box[1]
         assert mu.min() >= box[2] and mu.max() <= box[3]
         assert np.any(mu == box[3])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rho": math.nan},
+            {"rho": math.inf},
+            {"rho": -1e-4},
+            {"gradient_tolerance": math.nan},
+            {"gradient_tolerance": 0.0},
+            {"max_iterations": -3},
+            {"max_iterations": 2.5},
+        ],
+    )
+    def test_invalid_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            InversionConfig(**bad)
 
     def test_infeasible_start_rejected(self, medium_mesh, crime_measurements):
         param = ConstantParameterization(medium_mesh)

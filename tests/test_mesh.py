@@ -72,6 +72,29 @@ def test_max_edge_length_bound():
         assert edges.max() <= EDGE_FACTOR * h
 
 
+def _loop_boundary_edges(triangles):
+    """Edges used by exactly one triangle, oriented as in that triangle."""
+    owner, seen = {}, {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            seen[key] = seen.get(key, 0) + 1
+            owner[key] = (u, v)
+    return np.array([owner[k] for k, cnt in seen.items() if cnt == 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("h", [0.99, 0.5, 0.3, 0.2, 0.11, 0.08, 0.05, 0.02])
+@pytest.mark.parametrize("arc", [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)])
+def test_boundary_edges_match_loop_reference(h, arc):
+    mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
+    edges = _loop_boundary_edges(mesh.triangles)
+    ref = partition_boundary(
+        Mesh(mesh.nodes, mesh.triangles, edges, [NEUMANN] * len(edges)), BoundaryPartitionSpec(*arc)
+    )
+    assert np.array_equal(mesh.boundary_edges, ref.boundary_edges)
+    assert mesh.edge_tags == ref.edge_tags
+
+
 def test_boundary_edges_form_closed_loop(medium_mesh):
     # every boundary node appears in exactly two boundary edges
     counts = np.bincount(medium_mesh.boundary_edges.ravel())

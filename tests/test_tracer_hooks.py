@@ -7,12 +7,13 @@ tracer as it is and checks both.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from elastinv import experiments
-from elastinv.experiments import ExperimentConfig
+from elastinv import experiments, ntd
+from elastinv.experiments import ExperimentConfig, build_mesh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +52,19 @@ def test_hot_path_metrics_are_lit(tracing):
         "ntd.sandwich_ms",
     ):
         assert metrics[name]["value"] > 0, name
+
+
+def test_ntd_hat_load_solves_are_counted(tracing):
+    config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
+    m = len(build_mesh(config, config.target_h).neumann_nodes)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        experiments.run_experiment(config)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    # one NtD per field of the pair, each solving its 2m hat loads in blocks
+    assert metrics["fem.solve_neumann_calls"]["value"] == 2 * math.ceil(2 * m / ntd.NTD_BLOCK)

@@ -61,7 +61,8 @@ class ExperimentConfig:
     data_mesh: str = "same"  # "same" | "refine"
     max_iterations: int = 400
     gradient_tolerance: float = 1e-11
-    initial: tuple[float, float] = (1.0, 1.0)
+    # None resolves to the per-kind default, FIXED_INITIAL or (1, 1)
+    initial: tuple[float, float] | None = None
     n_pairs: int = 20
     schema_version: int = SCHEMA_VERSION
 
@@ -88,9 +89,14 @@ class ExperimentConfig:
             raise ConfigError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
         if not self.gradient_tolerance > 0.0:
             raise ConfigError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
+        fixed = FIXED_INITIAL.get(self.kind)
+        if self.initial is None:
+            self.initial = fixed or (1.0, 1.0)
         initial = _float_array(self.initial, "initial")
         if initial.shape != (2,) or not np.all(initial > 0.0):
             raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
+        if fixed is not None and not np.array_equal(initial, fixed):
+            raise ConfigError(f"{self.kind} starts from its fixed initial guess {fixed}, got {self.initial!r}")
         loads = _float_array(self.loads, "loads")
         if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
             raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
@@ -286,6 +292,8 @@ def _reconstruct(
 
 EXAMPLE1_SETTINGS = [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)]
 EXAMPLE23_SETTINGS = [(0.0, 0.0), (0.03, 1e-4)]
+# the per-element examples start every run from this (lam, mu) guess
+FIXED_INITIAL = {"example2": (0.3, 0.5), "example3": (0.3, 0.5)}
 # admissible box of the per-element unknowns, enforced by projection
 PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
 
@@ -365,7 +373,6 @@ def _run_per_element_example(
 
 def run_example2(config: ExperimentConfig) -> ResultBundle:
     """Per-element reconstruction of a radial shear modulus and constant lam."""
-    config = dataclasses.replace(config, kind="example2", initial=(0.3, 0.5))
     return _run_per_element_example(config, {"type": "radial-mu", "lam": 1.0}, EXAMPLE23_SETTINGS)[0]
 
 
@@ -392,7 +399,6 @@ def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
 
 def run_example3(config: ExperimentConfig) -> ResultBundle:
     """Radial shear modulus plus a two-bump lam field; localizes the bumps."""
-    config = dataclasses.replace(config, kind="example3", initial=(0.3, 0.5))
     bundle, mesh = _run_per_element_example(config, {"type": "gaussian-bumps-lambda"}, EXAMPLE23_SETTINGS)
     bundle.report["truth_bump_centroids"] = bump_centroids(mesh, bundle.fields["truth"].lam)
     for row, (eps, rho) in zip(bundle.report["table"], EXAMPLE23_SETTINGS):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -84,6 +85,16 @@ class TestConfig:
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+
+    def test_initial_resolves_per_kind(self):
+        assert ExperimentConfig(kind="example1").initial == (1.0, 1.0)
+        for kind in ("example2", "example3"):
+            config = ExperimentConfig(kind=kind, max_iterations=40, seed=5)
+            assert config.initial == (0.3, 0.5)
+            assert dataclasses.replace(config, seed=6).initial == (0.3, 0.5)
+            assert ExperimentConfig.from_dict(config.to_dict()) == config
+            with pytest.raises(ConfigError, match="initial"):
+                ExperimentConfig(kind=kind, initial=(2.0, 2.0))
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -228,6 +239,17 @@ class TestCli:
         assert (out / "results.json").exists()
         assert (out / "config.json").exists()
 
+    @pytest.mark.parametrize("truth", ["constant", "radial-mu", "gaussian-bumps-lambda"])
+    def test_fine_forward_on_example3_arc(self, tmp_path, capsys, truth):
+        # backward-stable solves whose relative residuals reach 1.2-1.8e-12
+        cfg = tmp_path / "config.json"
+        spec = {"type": truth, **({"lam": 3.0, "mu": 7.0} if truth == "constant" else {})}
+        cfg.write_text(json.dumps({"dirichlet_arc": [math.pi / 2.0, math.pi], "truth": spec}))
+        out = tmp_path / "fw"
+        code = main(["forward", "--config", str(cfg), "--mesh-h", "0.02", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads((out / "results.json").read_text())["n_nodes"] > 8000
+
     def test_bad_mesh_h_is_config_error(self, tmp_path, capsys):
         code = main(["forward", "--mesh-h", "5.0", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
@@ -301,6 +323,15 @@ class TestCli:
         argv = ["custom", "--noise", "0.03", "--rho", "1e-4", "--data-mesh", "refine", "--mesh-h", "0.3"]
         config = config_from_args(build_parser().parse_args(argv))
         assert (config.noise, config.rho, config.data_mesh, config.target_h) == (0.03, 1e-4, "refine", 0.3)
+
+    @pytest.mark.parametrize("kind", ["example2", "example3"])
+    def test_example_initial_guess_other_than_fixed_rejected(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"initial": [2, 2], "target_h": 0.3, "max_iterations": 1}))
+        out = tmp_path / "ex"
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

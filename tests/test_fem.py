@@ -16,15 +16,17 @@ from elastinv.fem import (
     FemError,
     LameField,
     SurfaceLoad,
-    assemble_stiffness,
     discretization,
     isotropic_stress,
     load_coefficients,
     neumann_mass_matrix,
     release_free_heap,
 )
+from elastinv.experiments import PER_ELEMENT_BOUNDS
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from conftest import random_field, random_trace
+
+ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
 
 
 def solve_load(solver, g):
@@ -93,25 +95,79 @@ class TestLameField:
             field.check_mesh(medium_mesh)
 
 
-class TestAssembly:
-    def test_doubling_field_doubles_stiffness(self, medium_mesh):
-        K1 = assemble_stiffness(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
-        K2 = assemble_stiffness(medium_mesh, LameField.constant(6.0, 14.0, medium_mesh.n_elements))
-        assert abs(K2 - 2 * K1).max() < 1e-12 * abs(K1).max()
+def _coo_stiffness(mesh, field):
+    """Full stiffness matrix by COO assembly of einsum element matrices, dofs interleaved."""
+    disc = discretization(mesh)
+    n_el = mesh.n_elements
+    lam, mu = field.lam, field.mu
+    B = np.zeros((n_el, 3, 6))
+    B[:, 0, 0::2] = disc.bx
+    B[:, 1, 1::2] = disc.by
+    B[:, 2, 0::2] = disc.by
+    B[:, 2, 1::2] = disc.bx
+    D = np.zeros((n_el, 3, 3))
+    D[:, 0, 0] = D[:, 1, 1] = lam + 2.0 * mu
+    D[:, 0, 1] = D[:, 1, 0] = lam
+    D[:, 2, 2] = mu
+    ke = np.einsum("e,eji,ejk,ekl->eil", disc.area, B, D, B, optimize=True)
+    ke = 0.5 * (ke + ke.transpose(0, 2, 1))
+    dofs = np.empty((n_el, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(disc.n_dofs, disc.n_dofs)).tocsr()
+    return ((K + K.T) * 0.5).tocsr()
 
-    def test_stiffness_exactly_symmetric(self, medium_mesh, field_37):
-        K = assemble_stiffness(medium_mesh, field_37)
-        assert abs(K - K.T).max() == 0.0
+
+def _blocks(solver):
+    """(name, scattered block, its row dofs, its column dofs) of a solver."""
+    disc = solver.disc
+    return [
+        ("K_free", solver.K_free, disc.free_dofs, disc.free_dofs),
+        ("K_interior", solver.K_interior, disc.interior_dofs, disc.interior_dofs),
+        ("K_it", solver.K_it, disc.interior_dofs, disc.trace_dofs),
+    ]
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_blocks_match_coo_reference(self, h, arc):
+        mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
+        field = random_field(mesh, np.random.default_rng(5))
+        K = _coo_stiffness(mesh, field)
+        for name, block, rows, cols in _blocks(ElasticitySolver(mesh, field)):
+            ref = K[rows][:, cols].tocsr()
+            ref.sort_indices()
+            assert np.array_equal(block.indptr, ref.indptr), name
+            assert np.array_equal(block.indices, ref.indices), name
+            assert np.abs(block.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max(), name
+
+    def test_doubling_field_doubles_stiffness(self, medium_mesh):
+        s1 = ElasticitySolver(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
+        s2 = ElasticitySolver(medium_mesh, LameField.constant(6.0, 14.0, medium_mesh.n_elements))
+        for (name, K1, _, _), (_, K2, _, _) in zip(_blocks(s1), _blocks(s2)):
+            assert abs(K2 - 2 * K1).max() < 1e-12 * abs(K1).max(), name
+
+    def test_stiffness_exactly_symmetric(self, fine_mesh):
+        rng = np.random.default_rng(6)
+        for arc in ARCS:
+            mesh = partition_boundary(fine_mesh, BoundaryPartitionSpec(*arc))
+            solver = ElasticitySolver(mesh, random_field(mesh, rng))
+            for K in (solver.K_free, solver.K_interior):
+                assert (K != K.T).nnz == 0
 
     def test_energy_matches_per_element_oracle(self, coarse_mesh):
-        """u^T K u against an independent per-element quadrature loop."""
+        """u^T K_free u against an independent per-element quadrature loop."""
         rng = np.random.default_rng(3)
         field = LameField(
             rng.uniform(1, 4, coarse_mesh.n_elements),
             rng.uniform(2, 8, coarse_mesh.n_elements),
         )
-        K = assemble_stiffness(coarse_mesh, field)
-        u = rng.standard_normal(2 * coarse_mesh.n_nodes)
+        solver = ElasticitySolver(coarse_mesh, field)
+        u = np.zeros(2 * coarse_mesh.n_nodes)
+        u[solver.disc.free_dofs] = rng.standard_normal(len(solver.disc.free_dofs))
 
         total = 0.0
         for e, tri in enumerate(coarse_mesh.triangles):
@@ -129,7 +185,8 @@ class TestAssembly:
             stress = isotropic_stress(field.lam[e], field.mu[e], strain)
             total += area * np.tensordot(stress, strain)
 
-        assert np.isclose(u @ (K @ u), total, rtol=1e-10)
+        free = u[solver.disc.free_dofs]
+        assert np.isclose(free @ (solver.K_free @ free), total, rtol=1e-10)
 
     def test_reduced_system_spd(self, coarse_mesh):
         rng = np.random.default_rng(4)
@@ -140,6 +197,55 @@ class TestAssembly:
             )
             eigs = np.linalg.eigvalsh(ElasticitySolver(coarse_mesh, field).K_free.toarray())
             assert eigs.min() > 0.0
+
+    def test_traction_only_run_builds_no_interior_pattern(self):
+        mesh = generate_disk_mesh(0.25)
+        solver = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))
+        solve_load(solver, SurfaceLoad(constant=(0.1, 0.2)))
+        built = vars(solver.disc)
+        assert "free_pattern" in built
+        assert "interior_pattern" not in built and "coupling_pattern" not in built
+
+    def test_factor_runs_in_symmetric_mode(self, medium_mesh, field_37, monkeypatch):
+        calls = []
+        splu = fem.spla.splu
+
+        def recording(A, **kwargs):
+            calls.append(kwargs)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "splu", recording)
+        solver = ElasticitySolver(medium_mesh, field_37)
+        m = len(medium_mesh.neumann_nodes)
+        solver.solve_neumann(np.ones((2 * m, 1)))
+        solver.solve_dirichlet(np.ones((2 * m, 1)))
+        expected = {
+            "permc_spec": "MMD_AT_PLUS_A",
+            "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True},
+        }
+        assert calls == [expected, expected]
+
+
+@pytest.mark.parametrize("arc", ARCS)
+@given(seed=st.integers(0, 2**32 - 1), two_level=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_high_contrast_fields_solve_backward_stably(medium_mesh, arc, seed, two_level):
+    """Fields over the whole per-element box (contrast 1e6) pass the solve check unpivoted."""
+    lo, hi = math.log10(PER_ELEMENT_BOUNDS[0]), math.log10(PER_ELEMENT_BOUNDS[1])
+    mesh = partition_boundary(medium_mesh, BoundaryPartitionSpec(*arc))
+    rng = np.random.default_rng(seed)
+    n = mesh.n_elements
+    if two_level:
+        # every element at one end of the box or the other
+        lam, mu = 10.0 ** rng.choice([lo, hi], size=(2, n))
+    else:
+        lam, mu = 10.0 ** rng.uniform(lo, hi, size=(2, n))
+    solver = ElasticitySolver(mesh, LameField(lam, mu))
+    m = len(mesh.neumann_nodes)
+    U = solver.solve_neumann(rng.standard_normal((2 * m, 4)))
+    V = solver.solve_dirichlet(rng.standard_normal((2 * m, 4)))
+    assert np.all(np.isfinite(U)) and np.all(np.isfinite(V))
 
 
 class TestNeumannSolve:
@@ -251,7 +357,7 @@ def _loop_boundary_mass(mesh):
 
 
 @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
-@pytest.mark.parametrize("arc", [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)])
+@pytest.mark.parametrize("arc", ARCS)
 def test_boundary_mass_matches_loop_reference(h, arc):
     mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
     M, ref = neumann_mass_matrix(mesh), _loop_boundary_mass(mesh)

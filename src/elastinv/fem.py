@@ -22,9 +22,9 @@ import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
 
-# tolerance of the per-column normwise backward error of every solve.  A
-# backward-stable factorization plus one refinement step lands below one eps
-# (at most 0.6 eps seen from h=0.25 to h=0.02 and at 1e6 contrast); a column
+# tolerance of the per-column normwise backward error of every solve.  The
+# backward-stable factorization alone lands near one eps (unrefined solves
+# read at most 1.4 eps, from h=0.25 to h=0.02 and at 1e6 contrast); a column
 # whose refined solution is off by 1e-12 relative reads ~20 eps at h=0.2
 BACKWARD_ERROR_TOL = 16 * np.finfo(float).eps
 
@@ -264,35 +264,56 @@ class BlockPattern:
             entry = er[:, k, None].astype(np.int64) * len(cols) + ec
             scatter[:, k, :][inside] = np.searchsorted(keys, entry[inside])
         self.scatter = scatter.ravel()
+        # fill-reducing ordering of a square block: np.argsort(perm_c) of the
+        # block's first factorization on this mesh, or None before it
+        self.order = None
 
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
         """The block of the stiffness with flattened element matrices ke."""
         data = np.bincount(self.scatter, weights=ke, minlength=self.nnz + 1)[: self.nnz]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
+    @cached_property
+    def permuted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gather, indices, indptr): the CSR pattern of the block with rows
+        and columns in self.order, whose data is the block's data[gather]."""
+        rank = np.argsort(self.order).astype(np.int32)
+        counts = np.diff(self.indptr)[self.order]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        # the block's data positions of each new row, then its columns sorted
+        src = np.repeat(self.indptr[self.order] - indptr[:-1], counts)
+        src += np.arange(self.nnz, dtype=np.int32)
+        cols = rank[self.indices[src]]
+        sort = np.lexsort((cols, np.repeat(np.arange(len(counts), dtype=np.int32), counts)))
+        return src[sort], cols[sort], indptr
+
 
 def element_stiffness(disc: Discretization, field: LameField) -> np.ndarray:
-    """(n_el, 6, 6) element stiffness matrices on the interleaved element dofs, exactly symmetric."""
-    n_el = len(disc.area)
-    lam, mu = field.lam, field.mu
+    """(n_el, 6, 6) element stiffness matrices on the interleaved element dofs, exactly symmetric.
 
-    # B maps the 6 nodal dofs to Voigt strain (exx, eyy, 2 exy)
-    B = np.zeros((n_el, 3, 6))
-    B[:, 0, 0::2] = disc.bx
-    B[:, 1, 1::2] = disc.by
-    B[:, 2, 0::2] = disc.by
-    B[:, 2, 1::2] = disc.bx
-
-    D = np.zeros((n_el, 3, 3))
-    D[:, 0, 0] = D[:, 1, 1] = lam + 2.0 * mu
-    D[:, 0, 1] = D[:, 1, 0] = lam
-    D[:, 2, 2] = mu
-
-    ke = np.einsum("e,eji,ejk,ekl->eil", disc.area, B, D, B, optimize=True)
-    # exact symmetry despite fp rounding; the scatter sums the (i, j) and
-    # (j, i) entries of a block in the same element order, so every
-    # assembled block with rows == cols is exactly symmetric too
-    return 0.5 * (ke + ke.transpose(0, 2, 1))
+    The area times B^T D B, with B mapping the 6 nodal dofs to Voigt strain,
+    in closed form from the outer products of the barycentric gradients.
+    Products commute exactly, so the xx and yy blocks are symmetric and the
+    yx block is the xy block transposed; the scatter sums the (i, j) and
+    (j, i) entries of a block in the same element order, so every assembled
+    block with rows == cols is exactly symmetric too.
+    """
+    # per-element moduli times area: a(lam + 2 mu), a lam, a mu
+    lam = (disc.area * field.lam)[:, None, None]
+    mu = (disc.area * field.mu)[:, None, None]
+    lam_2mu = lam + 2.0 * mu
+    bx, by = disc.bx[:, :, None], disc.by[:, :, None]
+    xx = bx * bx.transpose(0, 2, 1)
+    yy = by * by.transpose(0, 2, 1)
+    xy = bx * by.transpose(0, 2, 1)
+    ke = np.empty((len(lam), 6, 6))
+    ke[:, 0::2, 0::2] = lam_2mu * xx + mu * yy
+    ke[:, 1::2, 1::2] = lam_2mu * yy + mu * xx
+    coupling = lam * xy + mu * xy.transpose(0, 2, 1)
+    ke[:, 0::2, 1::2] = coupling
+    ke[:, 1::2, 0::2] = coupling.transpose(0, 2, 1)
+    return ke
 
 
 def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -323,8 +344,9 @@ def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m)).tocsr()
 
 
-def _check_backward_errors(A, X: np.ndarray, B: np.ndarray) -> None:
-    """Raise FemError unless every column x of X solves A x = b backward stably.
+def _backward_errors(A, X: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Per-column normwise backward error of X as a solution of A X = B,
+    given the residual R = B - A X.
 
     The normwise backward error |A x - b|_inf / (|A|_inf |x|_inf + |b|_inf),
     the smallest relative change of A and b that x solves exactly, stays at
@@ -337,23 +359,43 @@ def _check_backward_errors(A, X: np.ndarray, B: np.ndarray) -> None:
         return np.abs(M).max(axis=0, initial=0.0)
 
     scale = spla.norm(A, np.inf) * col_max(X) + col_max(B)
-    eta = col_max(A @ X - B) / np.maximum(scale, 1.0e-300)
-    bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise FemError(f"linear solve failed, backward error {eta[j]:.3e} in column {j}")
+    return col_max(R) / np.maximum(scale, 1.0e-300)
 
 
-def _factor_spd(K: sp.csr_matrix):
-    """Sparse LU of an exactly symmetric positive definite K with diagonal pivots.
+class _OrderedFactor:
+    """Sparse LU of K[order][:, order] that solves in K's own dof order."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self.lu = lu
+        self.order = order
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        X = np.empty_like(B)
+        X[self.order] = self.lu.solve(B[self.order])
+        return X
+
+
+def _factor_spd(pattern: BlockPattern, K: sp.csr_matrix):
+    """Sparse LU with diagonal pivots of the exactly symmetric positive
+    definite block K assembled on pattern.
 
     The symmetric-mode ordering of the pattern of K + K^T keeps the fill of
     a Cholesky factor, and an SPD matrix needs no row pivoting for a stable
-    factorization.  K.T is the CSC view of K's own arrays.
+    factorization.  The ordering depends on the pattern alone, so only the
+    block's first factorization on a mesh searches it (`MMD_AT_PLUS_A`) and
+    leaves it on the pattern; every later one factors the block gathered
+    into that order with `NATURAL`, the same fill without the search.  K.T
+    is the CSC view of K's own arrays; the permuted block is symmetric too,
+    so its CSR arrays serve as CSC.
     """
-    return spla.splu(
-        K.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-    )
+    options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    if pattern.order is None:
+        lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", **options)
+        pattern.order = np.argsort(lu.perm_c)
+        return lu
+    gather, indices, indptr = pattern.permuted
+    Kp = sp.csc_matrix((K.data[gather], indices, indptr), shape=K.shape)
+    return _OrderedFactor(spla.splu(Kp, permc_spec="NATURAL", **options), pattern.order)
 
 
 class ElasticitySolver:
@@ -388,19 +430,27 @@ class ElasticitySolver:
 
     @cached_property
     def _neumann_factor(self):
-        return _factor_spd(self.K_free)
+        return _factor_spd(self.disc.free_pattern, self.K_free)
 
     @cached_property
     def _dirichlet_factor(self):
-        return _factor_spd(self.K_interior)
+        return _factor_spd(self.disc.interior_pattern, self.K_interior)
 
     @staticmethod
     def _solve_refined(factor, K, B: np.ndarray) -> np.ndarray:
-        # one step of iterative refinement keeps the backward error at
-        # machine level even for ill-conditioned partitions
+        # the factorization alone solves to rounding level, so only a block
+        # with a column past the tolerance takes one refinement step, and is
+        # then judged again
         X = factor.solve(B)
-        X += factor.solve(B - K @ X)
-        _check_backward_errors(K, X, B)
+        R = B - K @ X
+        eta = _backward_errors(K, X, B, R)
+        if not np.all(eta <= BACKWARD_ERROR_TOL):
+            X += factor.solve(R)
+            eta = _backward_errors(K, X, B, B - K @ X)
+        bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise FemError(f"linear solve failed, backward error {eta[j]:.3e} in column {j}")
         return X
 
     def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:

@@ -91,26 +91,29 @@ def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndar
     """Move a Neumann trace between disk meshes by angular interpolation.
 
     Both meshes have their boundary nodes on the unit circle, so a trace is a
-    function of the polar angle; values at the target's Neumann nodes are
-    linearly interpolated in angle (used for inverse-crime control).
+    function of the polar angle along the Neumann arc, from one clamped
+    interface node to the other, where it vanishes.  Values at the target's
+    Neumann nodes are linearly interpolated in that angle, and zero past the
+    data mesh's interface nodes (used for inverse-crime control).
     """
 
-    def angles(mesh):
-        nodes = mesh.nodes[mesh.neumann_nodes]
-        return np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2.0 * np.pi)
+    # the Neumann edges run counter-clockwise from one interface node to the
+    # other; the arc coordinate is the angle past the first
+    a, b = data_mesh.neumann_edges.T
+    x0, y0 = data_mesh.nodes[np.setdiff1d(a, b)[0]]
+    start = math.atan2(y0, x0)
 
-    src = angles(data_mesh)
+    def arc_angle(mesh, nodes):
+        x, y = mesh.nodes[nodes].T
+        return np.mod(np.arctan2(y, x) - start, 2.0 * np.pi)
+
+    arc_nodes = np.unique(data_mesh.neumann_edges)
+    values = np.zeros((len(arc_nodes), 2))
+    values[np.searchsorted(arc_nodes, data_mesh.neumann_nodes)] = f
+    src = arc_angle(data_mesh, arc_nodes)
     order = np.argsort(src)
-    src_sorted = src[order]
-    f_sorted = np.asarray(f)[order]
-    tgt = angles(target_mesh)
-    out = np.empty((len(tgt), 2))
-    for comp in (0, 1):
-        out[:, comp] = np.interp(
-            tgt, src_sorted, f_sorted[:, comp],
-            period=2.0 * np.pi,
-        )
-    return out
+    tgt = arc_angle(target_mesh, target_mesh.neumann_nodes)
+    return np.column_stack([np.interp(tgt, src[order], values[order, c]) for c in (0, 1)])
 
 
 # -- functional and gradient ---------------------------------------------

@@ -206,7 +206,18 @@ class TestAssembly:
         assert "free_pattern" in built
         assert "interior_pattern" not in built and "coupling_pattern" not in built
 
-    def test_factor_runs_in_symmetric_mode(self, medium_mesh, field_37, monkeypatch):
+    def test_single_solver_builds_no_permuted_gather(self):
+        mesh = generate_disk_mesh(0.25)
+        solver = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))
+        solve_load(solver, SurfaceLoad(constant=(0.1, 0.2)))
+        pattern = solver.disc.free_pattern
+        assert pattern.order is not None
+        assert "permuted" not in vars(pattern)
+
+    def test_factor_runs_in_symmetric_mode(self, monkeypatch):
+        # a mesh of its own: the first factorization of a block on a mesh
+        # searches the ordering, later ones reuse it
+        mesh = generate_disk_mesh(0.2)
         calls = []
         splu = fem.spla.splu
 
@@ -215,16 +226,50 @@ class TestAssembly:
             return splu(A, **kwargs)
 
         monkeypatch.setattr(fem.spla, "splu", recording)
-        solver = ElasticitySolver(medium_mesh, field_37)
-        m = len(medium_mesh.neumann_nodes)
-        solver.solve_neumann(np.ones((2 * m, 1)))
-        solver.solve_dirichlet(np.ones((2 * m, 1)))
-        expected = {
-            "permc_spec": "MMD_AT_PLUS_A",
-            "diag_pivot_thresh": 0.0,
-            "options": {"SymmetricMode": True},
-        }
-        assert calls == [expected, expected]
+        m = len(mesh.neumann_nodes)
+        for lam, mu in [(3.0, 7.0), (1.0, 1.0)]:
+            solver = ElasticitySolver(mesh, LameField.constant(lam, mu, mesh.n_elements))
+            solver.solve_neumann(np.ones((2 * m, 1)))
+            solver.solve_dirichlet(np.ones((2 * m, 1)))
+        symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        mmd = {"permc_spec": "MMD_AT_PLUS_A", **symmetric}
+        natural = {"permc_spec": "NATURAL", **symmetric}
+        assert calls == [mmd, mmd, natural, natural]
+
+
+class TestOrderingReuse:
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_reused_ordering_keeps_fill_and_solutions(self, arc, monkeypatch):
+        """A second field on a mesh factors with the first one's ordering: the
+        same fill per block, and the solutions of a solve on a fresh mesh."""
+        calls = []
+        splu = fem.spla.splu
+
+        def recording(A, **kwargs):
+            lu = splu(A, **kwargs)
+            calls.append((kwargs["permc_spec"], lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(fem.spla, "splu", recording)
+        rng = np.random.default_rng(31)
+        mesh = partition_boundary(generate_disk_mesh(0.2), BoundaryPartitionSpec(*arc))
+        m = len(mesh.neumann_nodes)
+        loads, traces = rng.standard_normal((2, 2 * m, 3))
+
+        def solves(solver):
+            return solver.solve_neumann(loads), solver.solve_dirichlet(traces)
+
+        solves(ElasticitySolver(mesh, random_field(mesh, rng)))
+        field = random_field(mesh, rng)
+        reused = solves(ElasticitySolver(mesh, field))
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
+        assert [nnz for _, nnz in calls[2:]] == [nnz for _, nnz in calls[:2]]
+
+        fresh_mesh = partition_boundary(generate_disk_mesh(0.2), BoundaryPartitionSpec(*arc))
+        fresh = solves(ElasticitySolver(fresh_mesh, field))
+        assert [spec for spec, _ in calls[4:]] == ["MMD_AT_PLUS_A"] * 2
+        for X, Y in zip(reused, fresh):
+            assert np.abs(X - Y).max() <= 1e-12 * np.abs(Y).max()
 
 
 @pytest.mark.parametrize("arc", ARCS)
@@ -411,6 +456,45 @@ class TestBlockSolves:
         assert block_rel <= 1e-12  # one norm over the block would accept this solve
         with pytest.raises(FemError, match="column 1"):
             solver.solve_neumann(coeffs)
+
+    class Perturbing:
+        """Counts its solves; scales column 1 of the first `times` results by 1 + rel."""
+
+        def __init__(self, exact, rel=0.0, times=0):
+            self.exact, self.rel, self.times, self.calls = exact, rel, times, 0
+
+        def solve(self, b):
+            x = self.exact.solve(b)
+            if self.calls < self.times:
+                x[:, 1] *= 1.0 + self.rel
+            self.calls += 1
+            return x
+
+    def test_healthy_block_solves_once(self, medium_mesh, field_37, default_loads):
+        solver = ElasticitySolver(medium_mesh, field_37)
+        solver._neumann_factor = neumann = self.Perturbing(solver._neumann_factor)
+        solver._dirichlet_factor = dirichlet = self.Perturbing(solver._dirichlet_factor)
+        coeffs = load_coefficients(medium_mesh, default_loads)
+        solver.solve_neumann(coeffs)
+        solver.solve_dirichlet(coeffs)
+        assert (neumann.calls, dirichlet.calls) == (1, 1)
+
+    def test_perturbed_first_solve_is_refined_once(self, medium_mesh, field_37, default_loads):
+        solver = ElasticitySolver(medium_mesh, field_37)
+        coeffs = load_coefficients(medium_mesh, default_loads)
+        exact = solver.solve_neumann(coeffs)
+        solver._neumann_factor = factor = self.Perturbing(solver._neumann_factor, 1e-10, 1)
+        refined = solver.solve_neumann(coeffs)
+        assert factor.calls == 2
+        assert np.abs(refined - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_refined_block_is_judged_again(self, medium_mesh, field_37, default_loads):
+        # one refinement step leaves a column perturbed on every solve 1e-12 off
+        solver = ElasticitySolver(medium_mesh, field_37)
+        solver._neumann_factor = factor = self.Perturbing(solver._neumann_factor, 1e-6, 2)
+        with pytest.raises(FemError, match="column 1"):
+            solver.solve_neumann(load_coefficients(medium_mesh, default_loads))
+        assert factor.calls == 2
 
     def test_mesh_data_shared_between_solvers(self, medium_mesh, field_37, field_11):
         a = ElasticitySolver(medium_mesh, field_37)

@@ -1,3 +1,4 @@
+import functools
 import math
 import weakref
 
@@ -21,7 +22,7 @@ from elastinv.inversion import (
     kv_gradient,
     transfer_trace,
 )
-from elastinv.mesh import Mesh
+from elastinv.mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 from conftest import DEFAULT_LOADS, random_field
 
 # frozen single evaluation: (1,1) field against (3,7) data, 4 loads, h=0.2 mesh
@@ -313,3 +314,65 @@ class TestTraceTransfer:
         moved = transfer_trace(fine_mesh, f_fine, medium_mesh)
         scale = np.abs(f_med).max()
         assert np.abs(moved - f_med).max() <= 0.1 * scale  # discretization-level agreement
+
+
+# the program's two default clamped arcs: lower half circle, upper-left quarter
+TRANSFER_ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
+
+
+@functools.lru_cache(maxsize=None)
+def _arc_mesh(h, arc):
+    return partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
+
+
+def _arc_angle(mesh, arc, nodes):
+    """Angle of nodes counted from the middle of the clamped arc, so that the
+    whole Neumann arc, interface nodes included, is one increasing stretch."""
+    x, y = mesh.nodes[nodes].T
+    return np.mod(np.arctan2(y, x) - 0.5 * (arc[0] + arc[1]), 2.0 * math.pi)
+
+
+def _beyond_span(data_mesh, f, target_mesh, arc):
+    """(target row, nearest source value) of every target Neumann node
+    outside the angular span of the data mesh's Neumann nodes."""
+    src = _arc_angle(data_mesh, arc, data_mesh.neumann_nodes)
+    tgt = _arc_angle(target_mesh, arc, target_mesh.neumann_nodes)
+    first, last = np.argmin(src), np.argmax(src)
+    rows = [(k, f[first]) for k in np.flatnonzero(tgt < src[first])]
+    return rows + [(k, f[last]) for k in np.flatnonzero(tgt > src[last])]
+
+
+class TestTraceTransferAcrossClampedArc:
+    @pytest.mark.parametrize("arc", TRANSFER_ARCS)
+    @given(
+        h_data=st.sampled_from([0.3, 0.2, 0.15, 0.1, 0.075]),
+        h_target=st.sampled_from([0.3, 0.25, 0.15, 0.12, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_values_beyond_source_span_fall_to_zero(self, arc, h_data, h_target, seed):
+        data_mesh, target_mesh = _arc_mesh(h_data, arc), _arc_mesh(h_target, arc)
+        f = np.random.default_rng(seed).standard_normal((len(data_mesh.neumann_nodes), 2))
+        moved = transfer_trace(data_mesh, f, target_mesh)
+        for k, nearest in _beyond_span(data_mesh, f, target_mesh, arc):
+            lo, hi = np.minimum(nearest, 0.0), np.maximum(nearest, 0.0)
+            assert np.all((lo <= moved[k]) & (moved[k] <= hi)), (k, moved[k], nearest)
+
+    def test_refined_data_mesh_at_h_015(self):
+        """The inversion mesh's last Neumann node lies past the data mesh's;
+        there the data mesh's trace runs linearly to 0 at its interface node."""
+        arc = TRANSFER_ARCS[0]
+        data_mesh, target_mesh = _arc_mesh(0.075, arc), _arc_mesh(0.15, arc)
+        f = np.ones((len(data_mesh.neumann_nodes), 2))
+        f[:, 1] = -2.0
+        moved = transfer_trace(data_mesh, f, target_mesh)
+        src = _arc_angle(data_mesh, arc, data_mesh.neumann_nodes)
+        tgt = _arc_angle(target_mesh, arc, target_mesh.neumann_nodes)
+        k = int(np.argmax(tgt))
+        assert [row for row, _ in _beyond_span(data_mesh, f, target_mesh, arc)] == [k]
+        # the interface node ending the data mesh's Neumann edge chain
+        a, b = data_mesh.neumann_edges.T
+        interface = _arc_angle(data_mesh, arc, np.setdiff1d(b, a))[0]
+        assert src.max() < tgt[k] < interface
+        expected = (interface - tgt[k]) / (interface - src.max()) * np.array([1.0, -2.0])
+        assert np.allclose(moved[k], expected, rtol=1e-12, atol=0.0)

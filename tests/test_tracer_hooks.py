@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from elastinv import experiments, ntd
+from elastinv.fem import ElasticitySolver, LameField
 from elastinv.experiments import ExperimentConfig, build_mesh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -68,3 +69,23 @@ def test_ntd_hat_load_solves_are_counted(tracing):
     metrics, _ = tracing.layer_metrics(tracer)
     # one NtD per field of the pair, each solving its 2m hat loads in blocks
     assert metrics["fem.solve_neumann_calls"]["value"] == 2 * math.ceil(2 * m / ntd.NTD_BLOCK)
+
+
+def test_factor_fill_is_counted_per_field(tracing):
+    """The second field of a pair factors with the ordering the first one
+    searched, so the traced fill stays twice that of a fresh-mesh factor."""
+    config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        experiments.run_experiment(config)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    # the ordering, and so the fill, depends on the mesh's block pattern only
+    mesh = build_mesh(config, config.target_h)
+    lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))._neumann_factor
+    assert metrics["fem.factorizations"]["value"] == 2
+    assert metrics["fem.factor_nnz"]["value"] == 2 * (lu.L.nnz + lu.U.nnz)

@@ -15,7 +15,6 @@ from .fem import (
     FemError,
     LameField,
     SurfaceLoad,
-    isotropic_stress,
     load_coefficients,
 )
 from .ntd import (

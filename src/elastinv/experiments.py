@@ -32,10 +32,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-class InvariantViolation(RuntimeError):
-    """A verified operator property failed beyond tolerance."""
-
-
 def _float_array(value, name: str) -> np.ndarray:
     """value as a finite float array, or ConfigError naming the field."""
     try:
@@ -61,49 +57,62 @@ class ExperimentConfig:
     data_mesh: str = "same"  # "same" | "refine"
     max_iterations: int = 400
     gradient_tolerance: float = 1e-11
-    # None resolves to the per-kind default, FIXED_INITIAL or (1, 1)
+    # None resolves to the per-kind default, DEFAULT_INITIAL or (1, 1)
     initial: tuple[float, float] | None = None
     n_pairs: int = 20
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if self.kind not in RUNNERS:
+        if self.kind not in READS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        defaults = {
+            f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            for f in dataclasses.fields(self)
+        }
+        defaults["initial"] = DEFAULT_INITIAL.get(self.kind, (1.0, 1.0))
+        if self.initial is None:
+            self.initial = defaults["initial"]
         if self.data_mesh not in ("same", "refine"):
             raise ConfigError(f"data_mesh must be 'same' or 'refine', got {self.data_mesh!r}")
-        if self.data_mesh == "refine" and self.kind not in DATA_MESH_KINDS:
-            raise ConfigError(f"{self.kind} builds no data mesh, so data_mesh must be 'same'")
         if not (0.0 < self.target_h < 1.0):
             raise ConfigError(f"target_h out of range: {self.target_h!r}")
+        if self.dirichlet_arc is not None:
+            # the arc's width is checked by BoundaryPartitionSpec
+            if _float_array(self.dirichlet_arc, "dirichlet_arc").shape != (2,):
+                raise ConfigError(f"dirichlet_arc must be two finite numbers, got {self.dirichlet_arc!r}")
+            self.dirichlet_arc = tuple(self.dirichlet_arc)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
         if not (0.0 <= self.rho < math.inf):
             raise ConfigError(f"rho must be finite and nonnegative, got {self.rho!r}")
-        if (self.noise or self.rho) and self.kind not in NOISE_KINDS:
-            raise ConfigError(f"{self.kind} reads neither noise nor rho, so both must be 0")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.n_pairs, int) and self.n_pairs >= 1):
             raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
         if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
             raise ConfigError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
         if not self.gradient_tolerance > 0.0:
             raise ConfigError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
-        fixed = FIXED_INITIAL.get(self.kind)
-        if self.initial is None:
-            self.initial = fixed or (1.0, 1.0)
         initial = _float_array(self.initial, "initial")
         if initial.shape != (2,) or not np.all(initial > 0.0):
             raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
-        if fixed is not None and not np.array_equal(initial, fixed):
-            raise ConfigError(f"{self.kind} starts from its fixed initial guess {fixed}, got {self.initial!r}")
+        self.initial = tuple(self.initial)
         loads = _float_array(self.loads, "loads")
         if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
             raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
+        self.loads = [tuple(g) for g in self.loads]
         _check_truth(self.truth)
+        unread = [
+            name for name, default in defaults.items()
+            if name not in READS[self.kind] and getattr(self, name) != default
+        ]
+        if unread:
+            raise ConfigError(f"{self.kind} does not read {', '.join(unread)}; leave unread fields at their defaults")
 
     def to_dict(self) -> dict:
-        # tuples are written as JSON arrays, and from_dict turns them back
+        # tuples are written as JSON arrays, and __post_init__ turns them back
         return dataclasses.asdict(self)
 
     @classmethod
@@ -112,13 +121,7 @@ class ExperimentConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        d = dict(d)
         try:
-            for key in ("dirichlet_arc", "initial"):
-                if d.get(key) is not None:
-                    d[key] = tuple(d[key])
-            if "loads" in d:
-                d["loads"] = [tuple(g) for g in d["loads"]]
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -292,8 +295,6 @@ def _reconstruct(
 
 EXAMPLE1_SETTINGS = [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)]
 EXAMPLE23_SETTINGS = [(0.0, 0.0), (0.03, 1e-4)]
-# the per-element examples start every run from this (lam, mu) guess
-FIXED_INITIAL = {"example2": (0.3, 0.5), "example3": (0.3, 0.5)}
 # admissible box of the per-element unknowns, enforced by projection
 PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
 
@@ -474,7 +475,6 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
 
 def run_custom(config: ExperimentConfig) -> ResultBundle:
     """Per-element reconstruction of the configured truth at the configured noise and rho."""
-    config = dataclasses.replace(config, kind="custom")
     return _run_per_element_example(config, config.truth, [(config.noise, config.rho)])[0]
 
 
@@ -487,10 +487,23 @@ RUNNERS = {
     "forward": run_forward,
     "custom": run_custom,
 }
-EXPERIMENT_KINDS = tuple(RUNNERS)
-# only these runners read the noise level and regularization weight, or a data mesh
-NOISE_KINDS = ("custom",)
-DATA_MESH_KINDS = ("example1", "example2", "example3", "custom")
+# the config fields each runner reads.  Every kind takes the mesh, the schema
+# and a seed (forward draws nothing, but accepts one); any other field that a
+# kind does not read must keep its default, or the config is rejected
+COMMON = ("kind", "schema_version", "target_h", "dirichlet_arc", "seed")
+RECONSTRUCTION = (*COMMON, "loads", "data_mesh", "max_iterations", "gradient_tolerance")
+READS = {
+    "example1": (*RECONSTRUCTION, "initial"),
+    "example2": RECONSTRUCTION,
+    "example3": RECONSTRUCTION,
+    "monotonicity": (*COMMON, "loads", "n_pairs"),
+    "stability": (*COMMON, "n_pairs"),
+    "forward": (*COMMON, "truth", "loads"),
+    "custom": (*RECONSTRUCTION, "initial", "truth", "noise", "rho"),
+}
+# `initial` where a config leaves it unset: the per-element examples do not
+# read it and start every run from their own guess; other kinds use (1, 1)
+DEFAULT_INITIAL = {"example2": (0.3, 0.5), "example3": (0.3, 0.5)}
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:

@@ -204,12 +204,6 @@ def discretization(mesh: Mesh) -> Discretization:
     return disc
 
 
-def isotropic_stress(lam: float, mu: float, strain: np.ndarray) -> np.ndarray:
-    """Stress lam*tr(strain)*I + 2*mu*strain for a 2x2 symmetric strain."""
-    strain = np.asarray(strain, dtype=float)
-    return lam * np.trace(strain) * np.eye(2) + 2.0 * mu * strain
-
-
 def strain_energy_density(field: LameField, strain: np.ndarray, div: np.ndarray) -> np.ndarray:
     """Per-element energy density C(strain):strain = lam*div^2 + 2*mu*strain:strain."""
     ss = np.einsum("eij,eij->e", strain, strain)
@@ -344,9 +338,9 @@ def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m)).tocsr()
 
 
-def _backward_errors(A, X: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _backward_errors(A_norm: float, X: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Per-column normwise backward error of X as a solution of A X = B,
-    given the residual R = B - A X.
+    given |A|_inf and the residual R = B - A X.
 
     The normwise backward error |A x - b|_inf / (|A|_inf |x|_inf + |b|_inf),
     the smallest relative change of A and b that x solves exactly, stays at
@@ -358,7 +352,7 @@ def _backward_errors(A, X: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarr
     def col_max(M):
         return np.abs(M).max(axis=0, initial=0.0)
 
-    scale = spla.norm(A, np.inf) * col_max(X) + col_max(B)
+    scale = A_norm * col_max(X) + col_max(B)
     return col_max(R) / np.maximum(scale, 1.0e-300)
 
 
@@ -436,17 +430,26 @@ class ElasticitySolver:
     def _dirichlet_factor(self):
         return _factor_spd(self.disc.interior_pattern, self.K_interior)
 
+    # |K|_inf of each factored block, for the backward errors of its solves
+    @cached_property
+    def _K_free_norm(self) -> float:
+        return spla.norm(self.K_free, np.inf)
+
+    @cached_property
+    def _K_interior_norm(self) -> float:
+        return spla.norm(self.K_interior, np.inf)
+
     @staticmethod
-    def _solve_refined(factor, K, B: np.ndarray) -> np.ndarray:
+    def _solve_refined(factor, K, K_norm: float, B: np.ndarray) -> np.ndarray:
         # the factorization alone solves to rounding level, so only a block
         # with a column past the tolerance takes one refinement step, and is
         # then judged again
         X = factor.solve(B)
         R = B - K @ X
-        eta = _backward_errors(K, X, B, R)
+        eta = _backward_errors(K_norm, X, B, R)
         if not np.all(eta <= BACKWARD_ERROR_TOL):
             X += factor.solve(R)
-            eta = _backward_errors(K, X, B, B - K @ X)
+            eta = _backward_errors(K_norm, X, B, B - K @ X)
         bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
         if bad.any():
             j = int(np.argmax(bad))
@@ -469,7 +472,9 @@ class ElasticitySolver:
         B = np.zeros((disc.n_dofs, coeffs.shape[1]))
         B[disc.trace_dofs] = disc.boundary_mass @ coeffs
         U = np.zeros_like(B)
-        U[disc.free_dofs] = self._solve_refined(self._neumann_factor, self.K_free, B[disc.free_dofs])
+        U[disc.free_dofs] = self._solve_refined(
+            self._neumann_factor, self.K_free, self._K_free_norm, B[disc.free_dofs]
+        )
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:
@@ -481,10 +486,7 @@ class ElasticitySolver:
         U = np.zeros((disc.n_dofs, traces.shape[1]))
         U[disc.trace_dofs] = traces
         B = -(self.K_it @ traces)
-        U[disc.interior_dofs] = self._solve_refined(self._dirichlet_factor, self.K_interior, B)
+        U[disc.interior_dofs] = self._solve_refined(
+            self._dirichlet_factor, self.K_interior, self._K_interior_norm, B
+        )
         return U
-
-    def interior_energy(self, u: np.ndarray) -> float:
-        """Exact volume integral of C(strain):strain for one (2n,) displacement column."""
-        strain, div = self.disc.strains(u.reshape(-1, 2))
-        return float(np.dot(self.disc.area, strain_energy_density(self.field, strain, div)))

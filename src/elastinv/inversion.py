@@ -182,9 +182,6 @@ class PerElementParameterization:
         n = self.mesh.n_elements
         return LameField(x[:n], x[n:], bounds=self.bounds)
 
-    def from_field(self, field: LameField) -> np.ndarray:
-        return np.concatenate([field.lam, field.mu])
-
     def reduce_gradient(self, g_lam: np.ndarray, g_mu: np.ndarray) -> np.ndarray:
         return np.concatenate([g_lam, g_mu])
 

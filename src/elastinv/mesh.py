@@ -11,16 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import Delaunay
 
 DIRICHLET = "DIRICHLET"
 NEUMANN = "NEUMANN"
-
-# Maximum edge length of a generated mesh is bounded by EDGE_FACTOR * target_h.
-EDGE_FACTOR = 2.0
 
 _AREA_EPS = 1e-14
 
@@ -122,10 +118,6 @@ class Mesh:
         mask = np.array([t == NEUMANN for t in self.edge_tags], dtype=bool)
         return self.boundary_edges[mask]
 
-    @cached_property
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
-
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
@@ -147,50 +139,6 @@ class Mesh:
             if tag not in (DIRICHLET, NEUMANN):
                 raise MeshError(f"unknown edge tag {tag!r}")
 
-    # -- io ---------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Plain-text export: node table, triangle table, tagged edge table."""
-        lines = ["# elastinv mesh v1", f"nodes {self.n_nodes}"]
-        for x, y in self.nodes:
-            lines.append(f"{float(x)!r} {float(y)!r}")
-        lines.append(f"triangles {self.n_elements}")
-        for a, b, c in self.triangles:
-            lines.append(f"{a} {b} {c}")
-        lines.append(f"edges {self.boundary_edges.shape[0]}")
-        for (a, b), tag in zip(self.boundary_edges, self.edge_tags):
-            lines.append(f"{a} {b} {tag}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Mesh":
-        tokens = [
-            ln.split()
-            for ln in Path(path).read_text().splitlines()
-            if ln and not ln.startswith("#")
-        ]
-        it = iter(tokens)
-
-        def block(name, width):
-            try:
-                head = next(it)
-                if head[0] != name:
-                    raise MeshError(f"expected {name} block, got {head[0]!r}")
-                rows = [next(it) for _ in range(int(head[1]))]
-            except (StopIteration, IndexError) as exc:
-                # the file ends before the block, or before the rows its header promises
-                raise MeshError(f"truncated mesh file {path}: incomplete {name} block") from exc
-            if any(len(row) < width for row in rows):
-                raise MeshError(f"truncated mesh file {path}: short row in {name} block")
-            return rows
-
-        nodes = np.array([[float(v) for v in row] for row in block("nodes", 2)])
-        tris = np.array([[int(v) for v in row] for row in block("triangles", 3)])
-        rows = block("edges", 3)
-        edges = np.array([[int(r[0]), int(r[1])] for r in rows], dtype=np.int64)
-        tags = [r[2] for r in rows]
-        return cls(nodes, tris, edges.reshape(-1, 2), tags)
-
 
 def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
     """Centre and ring nodes, counter-clockwise per ring, outer ring last; and its size."""
@@ -206,7 +154,7 @@ def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
 
 
 def generate_disk_mesh(target_h: float) -> Mesh:
-    """Triangulate the unit disk with edges no longer than EDGE_FACTOR * target_h.
+    """Triangulate the unit disk with edges no longer than 2 * target_h.
 
     The boundary is tagged with the default partition (lower half Dirichlet);
     use partition_boundary to retag.  Raises MeshError for target_h outside

@@ -37,15 +37,6 @@ class NtDOperator:
     matrix: np.ndarray          # (2m, 2m), load coefficients -> trace coefficients
     boundary_mass: np.ndarray   # (2m, 2m) dense SPD
 
-    def pairing(self, g: np.ndarray) -> float:
-        """M-weighted pairing <g, NtD g>."""
-        return float(g @ (self.boundary_mass @ (self.matrix @ g)))
-
-    def symmetry_defect(self) -> float:
-        """max-norm asymmetry of M*NtD relative to its own scale."""
-        A = self.boundary_mass @ self.matrix
-        return float(np.abs(A - A.T).max() / np.abs(A).max())
-
 
 def build_ntd(solver: ElasticitySolver) -> NtDOperator:
     """The NtD matrix of the solver's field on the Neumann trace space.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from elastinv import LameField, SurfaceLoad, generate_disk_mesh
+from elastinv.fem import strain_energy_density
 
 DEFAULT_LOADS = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.3, 0.5)]
 
@@ -45,3 +46,9 @@ def random_field(mesh, rng, lam_box=(1.0, 4.0), mu_box=(2.0, 8.0)):
 
 def random_trace(mesh, rng):
     return rng.standard_normal((len(mesh.neumann_nodes), 2))
+
+
+def interior_energy(solver, u):
+    """Exact volume integral of C(strain):strain for one (2n,) displacement column."""
+    strain, div = solver.disc.strains(u.reshape(-1, 2))
+    return float(np.dot(solver.disc.area, strain_energy_density(solver.field, strain, div)))

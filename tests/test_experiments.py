@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     PER_ELEMENT_BOUNDS,
+    READS,
     ConfigError,
     ExperimentConfig,
     _reconstruct,
@@ -21,6 +25,27 @@ from elastinv.experiments import (
 from elastinv.inversion import NoiseSpec, PerElementParameterization
 from elastinv.mesh import generate_disk_mesh
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# a valid value other than the default, for every field some kind does not read
+NON_DEFAULT = {
+    "truth": {"type": "radial-mu", "lam": 2.0},
+    "loads": [[0.2, 0.3]],
+    "noise": 0.03,
+    "rho": 1e-4,
+    "data_mesh": "refine",
+    "max_iterations": 7,
+    "gradient_tolerance": 1e-6,
+    "initial": [2.0, 2.0],
+    "n_pairs": 2,
+}
+UNREAD = [
+    (kind, f.name)
+    for kind, reads in READS.items()
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in reads
+]
+
 
 class TestConfig:
     def test_roundtrip_identity(self):
@@ -31,7 +56,6 @@ class TestConfig:
             noise=0.03,
             seed=11,
             rho=1e-5,
-            n_pairs=3,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
@@ -80,11 +104,52 @@ class TestConfig:
             {"rho": 1e-5},
             {"kind": "stability", "noise": 0.5, "rho": 3.0},
             {"kind": "example2", "rho": 1e-4},
+            {"dirichlet_arc": [1.0, 2.0, 3.0]},
+            {"dirichlet_arc": "ab"},
+            {"dirichlet_arc": [0.0, "nan"]},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"kind": "stability", "seed": "x"},
+            {"kind": "example2", "seed": 1.5},
         ],
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("kind", READS)
+    def test_default_config_roundtrips(self, kind):
+        config = ExperimentConfig(kind=kind)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @pytest.mark.parametrize("name", NON_DEFAULT)
+    def test_non_default_value_valid_where_read(self, name):
+        readers = [kind for kind, reads in READS.items() if name in reads]
+        assert readers
+        for kind in readers:
+            ExperimentConfig.from_dict({"kind": kind, name: NON_DEFAULT[name]})
+
+    def test_benchmark_inputs_validate(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while it executes
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        rng = np.random.default_rng(0)
+        # example2/3 with a seed and a max_iterations cap
+        recon = workloads.Recon().campaign(rng, {}, tmp_path, True)
+        assert {op.config.kind for op in recon} == {"example2", "example3"}
+        assert all(op.config.max_iterations == workloads.RECON_MAX_ITERATIONS for op in recon)
+        # forward with a truth, loads and a seed, as a config file holds them
+        forward = workloads.ForwardFine().campaign(rng, {"meshes": [{}]}, tmp_path, True)
+        for op in forward:
+            assert {"truth", "loads", "seed"} <= set(op.config)
+            assert ExperimentConfig.from_dict(op.config).seed == op.config["seed"]
+        # the set-up samples every truth type, radial-mu included, with both moduli given
+        mesh = generate_disk_mesh(0.3)
+        for kind in workloads.TRUTH_TYPES:
+            truth_field({"type": kind, "lam": 3.0, "mu": 7.0}, mesh)
 
     def test_initial_resolves_per_kind(self):
         assert ExperimentConfig(kind="example1").initial == (1.0, 1.0)
@@ -332,6 +397,16 @@ class TestCli:
         code = main([kind, "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, name", UNREAD)
+    def test_field_the_kind_does_not_read_rejected(self, tmp_path, capsys, kind, name):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, name: NON_DEFAULT[name]}))
+        out = tmp_path / "out"
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert name in capsys.readouterr().err
 
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

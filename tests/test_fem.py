@@ -17,14 +17,13 @@ from elastinv.fem import (
     LameField,
     SurfaceLoad,
     discretization,
-    isotropic_stress,
     load_coefficients,
     neumann_mass_matrix,
     release_free_heap,
 )
 from elastinv.experiments import PER_ELEMENT_BOUNDS
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
-from conftest import random_field, random_trace
+from conftest import interior_energy, random_field, random_trace
 
 ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
 
@@ -46,6 +45,13 @@ def boundary_pairing(solver, g, u):
     """Boundary integral of load g . trace of u over the Neumann part."""
     coeffs = load_coefficients(solver.mesh, [g])[:, 0]
     return float(coeffs @ (solver.disc.boundary_mass @ u[solver.disc.trace_dofs]))
+
+
+def isotropic_stress(lam, mu, strain):
+    """Stress lam*tr(strain)*I + 2*mu*strain for a 2x2 symmetric strain."""
+    strain = np.asarray(strain, dtype=float)
+    return lam * np.trace(strain) * np.eye(2) + 2.0 * mu * strain
+
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 positive = st.floats(0.1, 100.0, allow_nan=False)
@@ -309,7 +315,7 @@ class TestNeumannSolve:
         g = SurfaceLoad(constant=(0.1, 0.1))
         u = solve_load(solver, g)
         boundary = boundary_pairing(solver, g, u)
-        interior = solver.interior_energy(u)
+        interior = interior_energy(solver, u)
         assert abs(boundary - interior) <= 1e-10 * abs(interior)
 
     def test_dirichlet_nodes_exactly_zero(self, medium_mesh, field_37):
@@ -434,6 +440,17 @@ class TestBlockSolves:
         for block, f in zip(solver.solve_dirichlet(traces).T, traces.T):
             col = solver.solve_dirichlet(f[:, None])[:, 0]
             assert np.abs(block - col).max() <= 1e-13 * np.abs(col).max()
+
+    def test_stiffness_norm_taken_once_per_block(self, medium_mesh, field_37, monkeypatch):
+        norms = []
+        norm = fem.spla.norm
+        monkeypatch.setattr(fem.spla, "norm", lambda A, ord=None: norms.append(A.shape) or norm(A, ord))
+        solver = ElasticitySolver(medium_mesh, field_37)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            solver.solve_neumann(rng.standard_normal((len(solver.disc.trace_dofs), 2)))
+            solver.solve_dirichlet(rng.standard_normal((len(solver.disc.trace_dofs), 2)))
+        assert norms == [solver.K_free.shape, solver.K_interior.shape]
 
     def test_bad_column_fails_despite_block_norm(self, medium_mesh, field_37):
         """A failed small-load column raises although the block-wide residual is tiny."""

@@ -58,18 +58,17 @@ def test_triangles_positive_area_and_in_range(medium_mesh):
 
 
 def test_boundary_nodes_on_unit_circle(medium_mesh):
-    r = np.linalg.norm(medium_mesh.nodes[medium_mesh.boundary_nodes], axis=1)
+    r = np.linalg.norm(medium_mesh.nodes[np.unique(medium_mesh.boundary_edges)], axis=1)
     assert np.allclose(r, 1.0, atol=1e-12)
 
 
 def test_max_edge_length_bound():
-    from elastinv.mesh import EDGE_FACTOR
-
+    # generate_disk_mesh documents edges no longer than 2 * target_h
     for h in (0.3, 0.15):
         mesh = generate_disk_mesh(h)
         p = mesh.nodes[mesh.triangles]
         edges = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
-        assert edges.max() <= EDGE_FACTOR * h
+        assert edges.max() <= 2.0 * h
 
 
 def _loop_boundary_edges(triangles):
@@ -98,7 +97,7 @@ def test_boundary_edges_match_loop_reference(h, arc):
 def test_boundary_edges_form_closed_loop(medium_mesh):
     # every boundary node appears in exactly two boundary edges
     counts = np.bincount(medium_mesh.boundary_edges.ravel())
-    assert np.all(counts[medium_mesh.boundary_nodes] == 2)
+    assert np.all(counts[np.unique(medium_mesh.boundary_edges)] == 2)
 
 
 def test_refinement_doubles_boundary(medium_mesh, fine_mesh):
@@ -158,30 +157,6 @@ def test_partition_tags_match_arc(theta0, width, medium_mesh):
 
 def test_dirichlet_and_neumann_nodes_disjoint(medium_mesh):
     assert not set(medium_mesh.dirichlet_nodes) & set(medium_mesh.neumann_nodes)
-
-
-def test_save_load_roundtrip(tmp_path, medium_mesh):
-    path = tmp_path / "mesh.txt"
-    medium_mesh.save(path)
-    loaded = Mesh.load(path)
-    assert np.array_equal(loaded.nodes, medium_mesh.nodes)
-    assert np.array_equal(loaded.triangles, medium_mesh.triangles)
-    assert np.array_equal(loaded.boundary_edges, medium_mesh.boundary_edges)
-    assert loaded.edge_tags == medium_mesh.edge_tags
-
-
-def test_truncated_file_rejected(tmp_path, medium_mesh):
-    full = tmp_path / "mesh.txt"
-    medium_mesh.save(full)
-    lines = full.read_text().splitlines()
-    half = tmp_path / "half.txt"
-    half.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    with pytest.raises(MeshError, match="truncated"):
-        Mesh.load(half)
-    short_row = tmp_path / "short_row.txt"
-    short_row.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")
-    with pytest.raises(MeshError, match="truncated"):
-        Mesh.load(short_row)
 
 
 def test_invalid_mesh_rejected():

@@ -10,6 +10,7 @@ byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -87,11 +88,13 @@ class ExperimentConfig:
             raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
         if not (0.0 <= self.rho < math.inf):
             raise ConfigError(f"rho must be finite and nonnegative, got {self.rho!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        # `type(...) is int`, since bool is an int too and JSON's true and
+        # false are no counts
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.n_pairs, int) and self.n_pairs >= 1):
+        if not (type(self.n_pairs) is int and self.n_pairs >= 1):
             raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
+        if not (type(self.max_iterations) is int and self.max_iterations >= 0):
             raise ConfigError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
         if not self.gradient_tolerance > 0.0:
             raise ConfigError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
@@ -246,10 +249,19 @@ EXAMPLE3_ARC = (math.pi / 2.0, math.pi)
 
 
 def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:
-    """Disk mesh of size target_h with the config's clamped arc, or its kind's default arc."""
+    """Disk mesh of size target_h with the config's clamped arc, or its kind's default arc.
+
+    Runs in one process with the same (target_h, arc) share the Mesh and so its Discretization.
+    """
     arc = config.dirichlet_arc
     if arc is None:
         arc = EXAMPLE3_ARC if config.kind == "example3" else DEFAULT_ARC
+    return _partitioned_mesh(target_h, tuple(arc))
+
+
+# two entries: a run uses at most an inversion mesh and a refined data mesh
+@functools.lru_cache(maxsize=2)
+def _partitioned_mesh(target_h: float, arc: tuple[float, float]) -> Mesh:
     return partition_boundary(generate_disk_mesh(target_h), BoundaryPartitionSpec(*arc))
 
 

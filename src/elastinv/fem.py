@@ -125,9 +125,15 @@ def load_coefficients(mesh: Mesh, loads: list[SurfaceLoad]) -> np.ndarray:
     return np.column_stack([np.tile(np.asarray(g.constant, dtype=float), m) for g in loads])
 
 
+def _node_dofs(nodes: np.ndarray) -> np.ndarray:
+    """The (x, y) dofs of nodes, interleaved node by node."""
+    return (2 * np.asarray(nodes)[:, None] + np.arange(2)).ravel()
+
+
 class Discretization:
-    """Mesh-only data of the P1 space: element gradients, dof sets, boundary
-    mass and the CSR patterns of the stiffness blocks.
+    """Mesh-only data of the P1 space: element gradients, node sets, boundary
+    mass and the CSR patterns of the stiffness blocks, each in its
+    fill-reducing order.
 
     Built once per mesh by `discretization` and shared by every solver on that
     mesh.  It keeps no reference to the mesh, so the per-mesh cache does not
@@ -151,29 +157,31 @@ class Discretization:
 
         if len(mesh.dirichlet_nodes) == 0:
             raise FemError("mesh has no Dirichlet boundary; problem is singular")
-        dirichlet_dofs = np.concatenate([2 * mesh.dirichlet_nodes, 2 * mesh.dirichlet_nodes + 1])
-        self.free_dofs = np.setdiff1d(np.arange(self.n_dofs), dirichlet_dofs)
-        # interleaved (x, y) dofs of mesh.neumann_nodes: the layout of load
-        # coefficients and traces; sorted, since the nodes are
-        self.trace_dofs = np.empty(2 * len(mesh.neumann_nodes), dtype=np.int64)
-        self.trace_dofs[0::2] = 2 * mesh.neumann_nodes
-        self.trace_dofs[1::2] = 2 * mesh.neumann_nodes + 1
-        self.interior_dofs = np.setdiff1d(self.free_dofs, self.trace_dofs)
+        self.free_nodes = np.setdiff1d(np.arange(mesh.n_nodes), mesh.dirichlet_nodes)
+        self.interior_nodes = np.setdiff1d(self.free_nodes, mesh.neumann_nodes)
+        self.trace_dofs = _node_dofs(mesh.neumann_nodes)  # the layout of loads and traces
         self.boundary_mass = neumann_mass_matrix(mesh)
+
+    def _node_graph(self) -> sp.csr_matrix:
+        """Sorted CSR node adjacency (nodes sharing an element), diagonal included."""
+        n, t = self.n_dofs // 2, self.triangles
+        i, j = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+        return sp.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
 
     # built on first use: a traction-only run never builds the interior blocks
     @cached_property
     def free_pattern(self) -> "BlockPattern":
-        return BlockPattern(self.triangles, self.n_dofs, self.free_dofs, self.free_dofs)
+        return BlockPattern.ordered(self.triangles, self._node_graph(), self.free_nodes)
 
     @cached_property
     def interior_pattern(self) -> "BlockPattern":
-        return BlockPattern(self.triangles, self.n_dofs, self.interior_dofs, self.interior_dofs)
+        return BlockPattern.ordered(self.triangles, self._node_graph(), self.interior_nodes)
 
     @cached_property
     def coupling_pattern(self) -> "BlockPattern":
-        """The interior x trace block, columns in trace_dofs order."""
-        return BlockPattern(self.triangles, self.n_dofs, self.interior_dofs, self.trace_dofs)
+        """The interior x trace block, rows in the interior block's order."""
+        rows, cols = self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
+        return BlockPattern(self.triangles, self._node_graph(), rows, cols)
 
     def strains(self, displacement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-element symmetric strain (n_el, 2, 2) and divergence (n_el,)."""
@@ -210,77 +218,77 @@ def strain_energy_density(field: LameField, strain: np.ndarray, div: np.ndarray)
     return field.lam * div**2 + 2.0 * field.mu * ss
 
 
-class BlockPattern:
-    """CSR pattern of one stiffness block K[rows][:, cols], with the position
-    of every element-matrix entry in its data.
+def _fill_reducing_order(graph: sp.csr_matrix) -> np.ndarray:
+    """Positions of the nodes of a block's node graph in a fill-reducing
+    elimination order.
 
-    `scatter` maps the flattened (n_el, 6, 6) element matrices, on the
-    interleaved element dofs (x0, y0, x1, y1, x2, y2), to CSR data indices;
-    entries outside the block map to the dummy slot `nnz`.  rows and cols
-    must be sorted.
+    SuperLU's symmetric-mode `MMD_AT_PLUS_A` search on the node Laplacian
+    plus I.  Searching the node graph keeps each node's two dofs adjacent;
+    an incomplete factorization that drops nearly everything returns the
+    same `perm_c` as a full one at a third to a half of the cost.
+    """
+    A = graph.astype(float)
+    A.data[:] = -1.0
+    A.setdiag(np.diff(A.indptr))  # degree + 1: every row holds its diagonal
+    order = np.argsort(spla.spilu(A.T, drop_tol=0.9, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0, options={"SymmetricMode": True}).perm_c)
+    release_free_heap()  # the factor is gone: return its storage to the OS
+    return order
+
+
+class BlockPattern:
+    """CSR pattern of one stiffness block, with the position of every
+    element-matrix entry in its data.
+
+    Row 2p, 2p + 1 of the block are the x, y dofs of row_nodes[p] (`rows`
+    lists them), and likewise for the columns (`cols`).  `scatter` maps the
+    flattened (n_el, 6, 6) element matrices, on the interleaved element dofs
+    (x0, y0, x1, y1, x2, y2), to CSR data indices; entries outside the block
+    map to the dummy slot `nnz`.
     """
 
-    def __init__(self, triangles: np.ndarray, n_dofs: int, rows: np.ndarray, cols: np.ndarray):
-        row_pos = np.full(n_dofs, -1, dtype=np.int32)
-        row_pos[rows] = np.arange(len(rows), dtype=np.int32)
-        col_pos = np.full(n_dofs, -1, dtype=np.int32)
-        col_pos[cols] = np.arange(len(cols), dtype=np.int32)
-
+    def __init__(self, triangles: np.ndarray, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray):
+        self.rows, self.cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
         # two dofs couple when their nodes share an element: the node
-        # adjacency, each entry widened to a 2x2 dof block, is the pattern of
-        # the full stiffness; restricting it with sorted rows and cols keeps
-        # it sorted
-        i, j = np.repeat(triangles, 3, axis=1).ravel(), np.tile(triangles, (1, 3)).ravel()
-        n = n_dofs // 2
-        nodes = sp.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
-        full = sp.kron(nodes, np.ones((2, 2), dtype=np.int8), format="csr")
-        r = row_pos[np.repeat(np.arange(n_dofs, dtype=np.int32), np.diff(full.indptr))]
-        c = col_pos[full.indices]
-        keep = (r >= 0) & (c >= 0)
-        r, c = r[keep], c[keep]
-        self.shape = (len(rows), len(cols))
-        self.nnz = len(c)
-        self.indices = c
-        self.indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(r, minlength=len(rows)), out=self.indptr[1:])
+        # adjacency of the block, each entry widened to a 2x2 dof block
+        nodes = graph[row_nodes][:, col_nodes].sorted_indices()
+        block = sp.kron(nodes, np.ones((2, 2), dtype=np.int8), format="csr")
+        self.shape, self.nnz, self.indices, self.indptr = block.shape, block.nnz, block.indices, block.indptr
 
-        # (row, col) keys ascend along the CSR data, so each element entry's
-        # slot is a binary search; one element-matrix row at a time keeps
-        # the int64 keys small
-        keys = r.astype(np.int64) * len(cols) + c
-        dofs = np.empty((len(triangles), 6), dtype=np.int64)
-        dofs[:, 0::2] = 2 * triangles
-        dofs[:, 1::2] = 2 * triangles + 1
-        er, ec = row_pos[dofs], col_pos[dofs]
-        scatter = np.full((len(triangles), 6, 6), self.nnz, dtype=np.int32)
-        for k in range(6):
-            inside = (er[:, k, None] >= 0) & (ec >= 0)
-            entry = er[:, k, None].astype(np.int64) * len(cols) + ec
-            scatter[:, k, :][inside] = np.searchsorted(keys, entry[inside])
+        # node pairs' (row, col) keys ascend along the node block's data, so
+        # each element's node pairs find their slots t by binary search; the
+        # 2x2 dof block of slot t in node row p starts at 2 indptr[p] + 2 t,
+        # its second row 2 deg(p) further on
+        n_cols, deg = nodes.shape[1], np.diff(nodes.indptr)
+        keys = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), deg) * n_cols + nodes.indices
+
+        def positions(block_nodes):  # (n_el, 3) block positions of the element nodes, or -1
+            pos = np.full(graph.shape[0], -1, dtype=np.int64)
+            pos[block_nodes] = np.arange(len(block_nodes))
+            return pos[triangles]
+
+        er, ec = positions(row_nodes), positions(col_nodes)
+        # element-matrix entry (2a + i, 2b + j) is scatter[:, a, i, b, j]
+        scatter = np.full((len(triangles), 3, 2, 3, 2), self.nnz, dtype=np.int32)
+        for a in range(3):
+            inside = (er[:, a, None] >= 0) & (ec >= 0)
+            p = np.broadcast_to(er[:, a, None], ec.shape)[inside]
+            start = 2 * (nodes.indptr[p] + np.searchsorted(keys, p * n_cols + ec[inside]))
+            for i, j in np.ndindex(2, 2):
+                scatter[:, a, i, :, j][inside] = start + 2 * i * deg[p] + j
         self.scatter = scatter.ravel()
-        # fill-reducing ordering of a square block: np.argsort(perm_c) of the
-        # block's first factorization on this mesh, or None before it
-        self.order = None
+
+    @classmethod
+    def ordered(cls, triangles: np.ndarray, graph: sp.csr_matrix, nodes: np.ndarray) -> "BlockPattern":
+        """The square block on nodes, rows and columns in the fill-reducing
+        order of its node graph."""
+        nodes = nodes[_fill_reducing_order(graph[nodes][:, nodes])]
+        return cls(triangles, graph, nodes, nodes)
 
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
         """The block of the stiffness with flattened element matrices ke."""
         data = np.bincount(self.scatter, weights=ke, minlength=self.nnz + 1)[: self.nnz]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    @cached_property
-    def permuted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gather, indices, indptr): the CSR pattern of the block with rows
-        and columns in self.order, whose data is the block's data[gather]."""
-        rank = np.argsort(self.order).astype(np.int32)
-        counts = np.diff(self.indptr)[self.order]
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(counts, out=indptr[1:])
-        # the block's data positions of each new row, then its columns sorted
-        src = np.repeat(self.indptr[self.order] - indptr[:-1], counts)
-        src += np.arange(self.nnz, dtype=np.int32)
-        cols = rank[self.indices[src]]
-        sort = np.lexsort((cols, np.repeat(np.arange(len(counts), dtype=np.int32), counts)))
-        return src[sort], cols[sort], indptr
 
 
 def element_stiffness(disc: Discretization, field: LameField) -> np.ndarray:
@@ -356,40 +364,20 @@ def _backward_errors(A_norm: float, X: np.ndarray, B: np.ndarray, R: np.ndarray)
     return col_max(R) / np.maximum(scale, 1.0e-300)
 
 
-class _OrderedFactor:
-    """Sparse LU of K[order][:, order] that solves in K's own dof order."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu = lu
-        self.order = order
-
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        X = np.empty_like(B)
-        X[self.order] = self.lu.solve(B[self.order])
-        return X
-
-
-def _factor_spd(pattern: BlockPattern, K: sp.csr_matrix):
+def _factor_spd(K: sp.csr_matrix):
     """Sparse LU with diagonal pivots of the exactly symmetric positive
-    definite block K assembled on pattern.
+    definite block K, laid out in its pattern's fill-reducing order.
 
-    The symmetric-mode ordering of the pattern of K + K^T keeps the fill of
-    a Cholesky factor, and an SPD matrix needs no row pivoting for a stable
-    factorization.  The ordering depends on the pattern alone, so only the
-    block's first factorization on a mesh searches it (`MMD_AT_PLUS_A`) and
-    leaves it on the pattern; every later one factors the block gathered
-    into that order with `NATURAL`, the same fill without the search.  K.T
-    is the CSC view of K's own arrays; the permuted block is symmetric too,
-    so its CSR arrays serve as CSC.
+    An SPD matrix needs no row pivoting for a stable factorization, and
+    symmetric mode keeps the fill of a Cholesky factor of the order it is
+    given.  K.T is the CSC view of K's own arrays.
     """
-    options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-    if pattern.order is None:
-        lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", **options)
-        pattern.order = np.argsort(lu.perm_c)
-        return lu
-    gather, indices, indptr = pattern.permuted
-    Kp = sp.csc_matrix((K.data[gather], indices, indptr), shape=K.shape)
-    return _OrderedFactor(spla.splu(Kp, permc_spec="NATURAL", **options), pattern.order)
+    return spla.splu(K.T, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _inf_norm(K: sp.csr_matrix) -> float:
+    """|K|_inf, the largest row sum of |K|; every row of a stiffness block holds its diagonal."""
+    return float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())
 
 
 class ElasticitySolver:
@@ -424,20 +412,20 @@ class ElasticitySolver:
 
     @cached_property
     def _neumann_factor(self):
-        return _factor_spd(self.disc.free_pattern, self.K_free)
+        return _factor_spd(self.K_free)
 
     @cached_property
     def _dirichlet_factor(self):
-        return _factor_spd(self.disc.interior_pattern, self.K_interior)
+        return _factor_spd(self.K_interior)
 
     # |K|_inf of each factored block, for the backward errors of its solves
     @cached_property
     def _K_free_norm(self) -> float:
-        return spla.norm(self.K_free, np.inf)
+        return _inf_norm(self.K_free)
 
     @cached_property
     def _K_interior_norm(self) -> float:
-        return spla.norm(self.K_interior, np.inf)
+        return _inf_norm(self.K_interior)
 
     @staticmethod
     def _solve_refined(factor, K, K_norm: float, B: np.ndarray) -> np.ndarray:
@@ -472,9 +460,8 @@ class ElasticitySolver:
         B = np.zeros((disc.n_dofs, coeffs.shape[1]))
         B[disc.trace_dofs] = disc.boundary_mass @ coeffs
         U = np.zeros_like(B)
-        U[disc.free_dofs] = self._solve_refined(
-            self._neumann_factor, self.K_free, self._K_free_norm, B[disc.free_dofs]
-        )
+        rows = disc.free_pattern.rows
+        U[rows] = self._solve_refined(self._neumann_factor, self.K_free, self._K_free_norm, B[rows])
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:
@@ -486,7 +473,7 @@ class ElasticitySolver:
         U = np.zeros((disc.n_dofs, traces.shape[1]))
         U[disc.trace_dofs] = traces
         B = -(self.K_it @ traces)
-        U[disc.interior_dofs] = self._solve_refined(
+        U[disc.interior_pattern.rows] = self._solve_refined(
             self._dirichlet_factor, self.K_interior, self._K_interior_norm, B
         )
         return U

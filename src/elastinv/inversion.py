@@ -218,7 +218,7 @@ class InversionConfig:
         # the negated comparisons also reject NaN
         if not (0.0 <= self.rho < math.inf):
             raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 0):
+        if not (type(self.max_iterations) is int and self.max_iterations >= 0):  # not a bool
             raise ValueError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
         if not self.gradient_tolerance > 0.0:
             raise ValueError(f"gradient tolerance must be positive, got {self.gradient_tolerance!r}")

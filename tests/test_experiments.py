@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from elastinv.experiments import (
     ExperimentConfig,
     _reconstruct,
     bump_centroids,
+    build_mesh,
     build_meshes,
     make_measurements,
     relative_l2_error,
@@ -112,6 +115,11 @@ class TestConfig:
             {"seed": -1},
             {"kind": "stability", "seed": "x"},
             {"kind": "example2", "seed": 1.5},
+            # JSON booleans are no counts
+            {"kind": "stability", "n_pairs": True, "seed": False},
+            {"kind": "stability", "n_pairs": True},
+            {"seed": False},
+            {"kind": "example2", "max_iterations": True},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -238,6 +246,28 @@ def test_example3_arc_default_differs():
     assert mesh_override.edge_tags == mesh1.edge_tags
 
 
+class TestMeshCache:
+    def test_equal_key_shares_the_mesh(self):
+        a = build_mesh(ExperimentConfig(kind="stability", target_h=0.3), 0.3)
+        assert build_mesh(ExperimentConfig(kind="monotonicity", target_h=0.3), 0.3) is a
+        # the lower half arc given explicitly is the default's key
+        explicit = ExperimentConfig(kind="example3", target_h=0.3, dirichlet_arc=[math.pi, 2 * math.pi])
+        assert build_mesh(explicit, 0.3) is a
+        assert build_mesh(ExperimentConfig(kind="example3", target_h=0.3), 0.3) is not a
+        assert build_mesh(ExperimentConfig(kind="stability", target_h=0.25), 0.25) is not a
+
+    def test_evicted_mesh_is_collected(self):
+        config = ExperimentConfig(kind="stability", target_h=0.3)
+        ref = weakref.ref(build_mesh(config, 0.3))
+        build_mesh(config, 0.29)
+        assert ref() is not None
+        build_mesh(config, 0.28)
+        gc.collect()
+        # the cache holds the two meshes built last
+        assert ref() is None
+        assert build_mesh(config, 0.29) is build_mesh(config, 0.29)
+
+
 class TestBundles:
     def test_forward_bundle_byte_identical(self, tmp_path):
         config = ExperimentConfig(kind="forward", target_h=0.25)
@@ -324,6 +354,14 @@ class TestCli:
         bad.write_text(json.dumps({"target_h": 0.25, "mystery_knob": 1}))
         code = main(["forward", "--config", str(bad), "--out", str(tmp_path / "y")])
         assert code == EXIT_CONFIG
+
+    def test_boolean_count_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"kind": "stability", "target_h": 0.3, "n_pairs": true}')
+        code = main(["stability", "--config", str(cfg), "--out", str(tmp_path / "y")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "y").exists()
+        assert "n_pairs" in capsys.readouterr().err
 
     def test_config_file_not_an_object_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

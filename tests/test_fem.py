@@ -38,7 +38,7 @@ def free_rhs(solver, coeffs):
     disc = solver.disc
     B = np.zeros((disc.n_dofs, coeffs.shape[1]))
     B[disc.trace_dofs] = disc.boundary_mass @ coeffs
-    return B[disc.free_dofs]
+    return B[disc.free_pattern.rows]
 
 
 def boundary_pairing(solver, g, u):
@@ -127,12 +127,15 @@ def _coo_stiffness(mesh, field):
 
 
 def _blocks(solver):
-    """(name, scattered block, its row dofs, its column dofs) of a solver."""
+    """(name, scattered block, its row dofs, its column dofs) of a solver, in the block's order."""
     disc = solver.disc
     return [
-        ("K_free", solver.K_free, disc.free_dofs, disc.free_dofs),
-        ("K_interior", solver.K_interior, disc.interior_dofs, disc.interior_dofs),
-        ("K_it", solver.K_it, disc.interior_dofs, disc.trace_dofs),
+        (name, K, pattern.rows, pattern.cols)
+        for name, K, pattern in [
+            ("K_free", solver.K_free, disc.free_pattern),
+            ("K_interior", solver.K_interior, disc.interior_pattern),
+            ("K_it", solver.K_it, disc.coupling_pattern),
+        ]
     ]
 
 
@@ -172,8 +175,9 @@ class TestAssembly:
             rng.uniform(2, 8, coarse_mesh.n_elements),
         )
         solver = ElasticitySolver(coarse_mesh, field)
+        rows = solver.disc.free_pattern.rows
         u = np.zeros(2 * coarse_mesh.n_nodes)
-        u[solver.disc.free_dofs] = rng.standard_normal(len(solver.disc.free_dofs))
+        u[rows] = rng.standard_normal(len(rows))
 
         total = 0.0
         for e, tri in enumerate(coarse_mesh.triangles):
@@ -191,7 +195,7 @@ class TestAssembly:
             stress = isotropic_stress(field.lam[e], field.mu[e], strain)
             total += area * np.tensordot(stress, strain)
 
-        free = u[solver.disc.free_dofs]
+        free = u[rows]
         assert np.isclose(free @ (solver.K_free @ free), total, rtol=1e-10)
 
     def test_reduced_system_spd(self, coarse_mesh):
@@ -212,17 +216,8 @@ class TestAssembly:
         assert "free_pattern" in built
         assert "interior_pattern" not in built and "coupling_pattern" not in built
 
-    def test_single_solver_builds_no_permuted_gather(self):
-        mesh = generate_disk_mesh(0.25)
-        solver = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))
-        solve_load(solver, SurfaceLoad(constant=(0.1, 0.2)))
-        pattern = solver.disc.free_pattern
-        assert pattern.order is not None
-        assert "permuted" not in vars(pattern)
-
     def test_factor_runs_in_symmetric_mode(self, monkeypatch):
-        # a mesh of its own: the first factorization of a block on a mesh
-        # searches the ordering, later ones reuse it
+        # a mesh of its own, so its patterns and orders are built here
         mesh = generate_disk_mesh(0.2)
         calls = []
         splu = fem.spla.splu
@@ -237,45 +232,68 @@ class TestAssembly:
             solver = ElasticitySolver(mesh, LameField.constant(lam, mu, mesh.n_elements))
             solver.solve_neumann(np.ones((2 * m, 1)))
             solver.solve_dirichlet(np.ones((2 * m, 1)))
-        symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
-        mmd = {"permc_spec": "MMD_AT_PLUS_A", **symmetric}
-        natural = {"permc_spec": "NATURAL", **symmetric}
-        assert calls == [mmd, mmd, natural, natural]
+        natural = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        assert calls == [natural] * 4
 
 
 class TestOrderingReuse:
     @pytest.mark.parametrize("arc", ARCS)
     def test_reused_ordering_keeps_fill_and_solutions(self, arc, monkeypatch):
-        """A second field on a mesh factors with the first one's ordering: the
-        same fill per block, and the solutions of a solve on a fresh mesh."""
+        """Each block's order belongs to the mesh: a field factors with the
+        same fill and solves to the same bits whether it is the first on a
+        mesh, follows another field there, or runs on a second mesh built
+        from the same inputs."""
         calls = []
         splu = fem.spla.splu
 
         def recording(A, **kwargs):
             lu = splu(A, **kwargs)
-            calls.append((kwargs["permc_spec"], lu.L.nnz + lu.U.nnz))
+            calls.append(lu.L.nnz + lu.U.nnz)
             return lu
 
         monkeypatch.setattr(fem.spla, "splu", recording)
         rng = np.random.default_rng(31)
-        mesh = partition_boundary(generate_disk_mesh(0.2), BoundaryPartitionSpec(*arc))
+
+        def fresh_mesh():
+            return partition_boundary(generate_disk_mesh(0.2), BoundaryPartitionSpec(*arc))
+
+        mesh = fresh_mesh()
         m = len(mesh.neumann_nodes)
         loads, traces = rng.standard_normal((2, 2 * m, 3))
 
-        def solves(solver):
+        def solves(mesh, field):
+            solver = ElasticitySolver(mesh, field)
             return solver.solve_neumann(loads), solver.solve_dirichlet(traces)
 
-        solves(ElasticitySolver(mesh, random_field(mesh, rng)))
+        first = solves(mesh, random_field(mesh, rng))
         field = random_field(mesh, rng)
-        reused = solves(ElasticitySolver(mesh, field))
-        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
-        assert [nnz for _, nnz in calls[2:]] == [nnz for _, nnz in calls[:2]]
+        after = solves(mesh, field)
+        fresh = solves(fresh_mesh(), field)
+        assert calls[0:2] == calls[2:4] == calls[4:6]
+        for X, Y, Z in zip(after, fresh, first):
+            assert np.array_equal(X, Y)
+            assert not np.array_equal(X, Z)
 
-        fresh_mesh = partition_boundary(generate_disk_mesh(0.2), BoundaryPartitionSpec(*arc))
-        fresh = solves(ElasticitySolver(fresh_mesh, field))
-        assert [spec for spec, _ in calls[4:]] == ["MMD_AT_PLUS_A"] * 2
-        for X, Y in zip(reused, fresh):
-            assert np.abs(X - Y).max() <= 1e-12 * np.abs(Y).max()
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_node_order_fill_at_most_dof_search(self, arc):
+        """On the default mesh, the node-graph order of each square block
+        fills no more than SuperLU's own symmetric-mode search on the
+        block's dofs.  Both are minimum-degree heuristics and not ranked at
+        every size: at h=0.2 the dof-level search fills the free block 1.5%
+        (example3 arc) to 3.4% (lower half) less."""
+        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+        solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(32)))
+        disc = solver.disc
+        for K, pattern, lu in [
+            (solver.K_free, disc.free_pattern, solver._neumann_factor),
+            (solver.K_interior, disc.interior_pattern, solver._dirichlet_factor),
+        ]:
+            natural = np.argsort(pattern.rows)  # the block back in dof order
+            mmd = fem.spla.splu(
+                K[natural][:, natural].tocsc(),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+            )
+            assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
 
 
 @pytest.mark.parametrize("arc", ARCS)
@@ -327,7 +345,7 @@ class TestNeumannSolve:
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.2))
         b = free_rhs(solver, load_coefficients(medium_mesh, [g]))[:, 0]
-        r = solver.K_free @ solve_load(solver, g)[solver.disc.free_dofs] - b
+        r = solver.K_free @ solve_load(solver, g)[solver.disc.free_pattern.rows] - b
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
@@ -443,8 +461,8 @@ class TestBlockSolves:
 
     def test_stiffness_norm_taken_once_per_block(self, medium_mesh, field_37, monkeypatch):
         norms = []
-        norm = fem.spla.norm
-        monkeypatch.setattr(fem.spla, "norm", lambda A, ord=None: norms.append(A.shape) or norm(A, ord))
+        norm = fem._inf_norm
+        monkeypatch.setattr(fem, "_inf_norm", lambda A: norms.append(A.shape) or norm(A))
         solver = ElasticitySolver(medium_mesh, field_37)
         rng = np.random.default_rng(23)
         for _ in range(3):

@@ -288,6 +288,7 @@ class TestBfgs:
             {"gradient_tolerance": 0.0},
             {"max_iterations": -3},
             {"max_iterations": 2.5},
+            {"max_iterations": True},
         ],
     )
     def test_invalid_config_rejected(self, bad):

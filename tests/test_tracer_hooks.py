@@ -72,8 +72,8 @@ def test_ntd_hat_load_solves_are_counted(tracing):
 
 
 def test_factor_fill_is_counted_per_field(tracing):
-    """The second field of a pair factors with the ordering the first one
-    searched, so the traced fill stays twice that of a fresh-mesh factor."""
+    """Both fields of a pair factor the free block in the mesh's one order,
+    so the traced fill is twice that of one field's factor."""
     config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
     tracer = tracing.Tracer()
     tracer.install()
@@ -84,7 +84,7 @@ def test_factor_fill_is_counted_per_field(tracing):
     finally:
         tracer.uninstall()
     metrics, _ = tracing.layer_metrics(tracer)
-    # the ordering, and so the fill, depends on the mesh's block pattern only
+    # the order, and so the fill, depends on the mesh only
     mesh = build_mesh(config, config.target_h)
     lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))._neumann_factor
     assert metrics["fem.factorizations"]["value"] == 2

@@ -14,8 +14,10 @@ from .fem import (
     ElasticitySolver,
     FemError,
     LameField,
+    RegionParameterization,
     SurfaceLoad,
     load_coefficients,
+    quadrant_regions,
 )
 from .ntd import (
     NtDOperator,

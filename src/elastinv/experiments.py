@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import inversion as inv
 from . import ntd
-from .fem import ElasticitySolver, LameField, SurfaceLoad, load_coefficients
+from .fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients
 from .mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 
 SCHEMA_VERSION = 1
@@ -34,11 +35,14 @@ class ConfigError(ValueError):
 
 
 def _float_array(value, name: str) -> np.ndarray:
-    """value as a finite float array, or ConfigError naming the field."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+    """value as a finite float array, or ConfigError naming the field.
+
+    Strings and booleans are refused, which numpy would read as numbers.
+    """
+    entries = np.asarray(value, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in entries.flat):
+        raise ConfigError(f"{name} must be numeric, got {value!r}")
+    arr = entries.astype(float)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return arr
@@ -291,8 +295,7 @@ def _reconstruct(
     config: ExperimentConfig,
     mesh: Mesh,
     measurements: inv.MeasurementSet,
-    parameterization,
-    x0: np.ndarray,
+    parameterization: RegionParameterization,
     rho: float,
 ) -> inv.InversionRun:
     opt = inv.InversionConfig(
@@ -300,6 +303,7 @@ def _reconstruct(
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
     )
+    x0 = np.repeat(config.initial, parameterization.n_regions)
     return inv.bfgs_minimize(opt, mesh, measurements, parameterization, x0)
 
 
@@ -316,14 +320,14 @@ def run_example1(config: ExperimentConfig) -> ResultBundle:
     mesh, data_mesh = build_meshes(config)
     exact = (3.0, 7.0)
     truth = LameField.constant(*exact, data_mesh.n_elements)
-    param = inv.ConstantParameterization(mesh)
+    param = RegionParameterization(np.zeros(mesh.n_elements, dtype=int))
     rows = []
     bundle = ResultBundle(config, {})
     for i, (eps, rho) in enumerate(EXAMPLE1_SETTINGS):
         noise = inv.NoiseSpec(eps, config.seed + i)
         measurements = make_measurements(config, mesh, data_mesh, truth, noise)
-        run = _reconstruct(config, mesh, measurements, param, np.array(config.initial), rho)
-        lam_c, mu_c = param.from_field(run.final_field)
+        run = _reconstruct(config, mesh, measurements, param, rho)
+        lam_c, mu_c = run.final_field.lam[0], run.final_field.mu[0]
         rows.append(
             {
                 "epsilon": eps,
@@ -352,17 +356,14 @@ def _run_per_element_example(
     mesh, data_mesh = build_meshes(config)
     truth_data = truth_field(truth_spec, data_mesh)
     truth_inv = truth_field(truth_spec, mesh)
-    param = inv.PerElementParameterization(mesh, bounds=PER_ELEMENT_BOUNDS)
-    x0 = np.concatenate(
-        [np.full(mesh.n_elements, config.initial[0]), np.full(mesh.n_elements, config.initial[1])]
-    )
+    param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
     bundle = ResultBundle(config, {})
     bundle.fields["truth"] = truth_inv
     rows = []
     for i, (eps, rho) in enumerate(settings):
         noise = inv.NoiseSpec(eps, config.seed + i)
         measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
-        run = _reconstruct(config, mesh, measurements, param, x0, rho)
+        run = _reconstruct(config, mesh, measurements, param, rho)
         rec = run.final_field
         rows.append(
             {

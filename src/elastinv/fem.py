@@ -93,15 +93,58 @@ class LameField:
             raise ValueError("mu outside admissible bounds")
 
     @classmethod
-    def constant(cls, lam: float, mu: float, n_elements: int, bounds=None) -> "LameField":
-        kwargs = {} if bounds is None else {"bounds": bounds}
-        return cls(np.full(n_elements, float(lam)), np.full(n_elements, float(mu)), **kwargs)
+    def constant(cls, lam: float, mu: float, n_elements: int) -> "LameField":
+        return cls(np.full(n_elements, float(lam)), np.full(n_elements, float(mu)))
 
     def check_mesh(self, mesh: Mesh) -> None:
         if len(self.lam) != mesh.n_elements:
             raise ValueError(
                 f"field has {len(self.lam)} elements, mesh has {mesh.n_elements}"
             )
+
+
+class RegionParameterization:
+    """Lame parameters constant on each region of an element partition.
+
+    The finite-dimensional subspace of the stability estimate: regions[e] is
+    element e's region, x stacks the r region values of lam and then of mu,
+    and the box (a, b, c, d) holds lam in [a, b] and mu in [c, d].  One
+    region gives constant fields, np.arange(n_elements) per-element ones.
+    """
+
+    def __init__(self, regions: np.ndarray, bounds=(1e-6, 1e6, 1e-6, 1e6)):
+        self.regions = np.asarray(regions)
+        self.bounds = bounds
+        self.n_regions = r = int(self.regions.max()) + 1
+        self.lower = np.repeat(np.array(bounds[0::2], dtype=float), r)
+        self.upper = np.repeat(np.array(bounds[1::2], dtype=float), r)
+        # each element's rank among its region's elements, in element order
+        order = np.argsort(self.regions, kind="stable")
+        sizes = np.bincount(self.regions, minlength=r)
+        self._rank = np.empty_like(order)
+        self._rank[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self._table_shape = (2, r, int(sizes.max()))
+
+    def to_field(self, x: np.ndarray) -> LameField:
+        r = self.n_regions
+        return LameField(x[:r][self.regions], x[r:][self.regions], bounds=self.bounds)
+
+    def reduce_gradient(self, g_lam: np.ndarray, g_mu: np.ndarray) -> np.ndarray:
+        """The per-element derivatives summed over each region, lam then mu.
+
+        A region's row of the zero-padded table is summed pairwise, as by
+        ndarray.sum, so one region gives exactly g.sum() (np.bincount's
+        sequential sum moved example1's iterations).
+        """
+        table = np.zeros(self._table_shape)
+        table[:, self.regions, self._rank] = (g_lam, g_mu)
+        return table.sum(axis=2).ravel()
+
+
+def quadrant_regions(mesh: Mesh) -> np.ndarray:
+    """Region map of the four disk quadrants, 2 * (x < 0) + (y < 0) at each element centroid."""
+    cx, cy = mesh.element_centroids.T
+    return (cx < 0).astype(int) * 2 + (cy < 0).astype(int)
 
 
 @dataclass(frozen=True)

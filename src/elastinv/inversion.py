@@ -20,6 +20,7 @@ import numpy as np
 from .fem import (
     ElasticitySolver,
     LameField,
+    RegionParameterization,
     SurfaceLoad,
     load_coefficients,
     release_free_heap,
@@ -167,44 +168,6 @@ def kv_gradient(field: LameField, mesh: Mesh, measurements: MeasurementSet, rho:
     return kohn_vogelius(field, mesh, measurements, rho)[1:]
 
 
-# -- parameterizations ----------------------------------------------------
-
-
-class PerElementParameterization:
-    """Stacked (lam, mu) element vector, the identity parameterization."""
-
-    def __init__(self, mesh: Mesh, bounds=(1e-6, 1e6, 1e-6, 1e6)):
-        self.mesh = mesh
-        self.bounds = bounds
-        self.n_params = 2 * mesh.n_elements
-
-    def to_field(self, x: np.ndarray) -> LameField:
-        n = self.mesh.n_elements
-        return LameField(x[:n], x[n:], bounds=self.bounds)
-
-    def reduce_gradient(self, g_lam: np.ndarray, g_mu: np.ndarray) -> np.ndarray:
-        return np.concatenate([g_lam, g_mu])
-
-
-class ConstantParameterization:
-    """Two scalar unknowns (lam, mu), constant over the whole mesh."""
-
-    def __init__(self, mesh: Mesh, bounds=(1e-6, 1e6, 1e-6, 1e6)):
-        self.mesh = mesh
-        self.bounds = bounds
-        self.n_params = 2
-
-    def to_field(self, x: np.ndarray) -> LameField:
-        return LameField.constant(x[0], x[1], self.mesh.n_elements, bounds=self.bounds)
-
-    def from_field(self, field: LameField) -> np.ndarray:
-        return np.array([field.lam[0], field.mu[0]])
-
-    def reduce_gradient(self, g_lam: np.ndarray, g_mu: np.ndarray) -> np.ndarray:
-        # chain rule of the constant embedding: sum over elements
-        return np.array([g_lam.sum(), g_mu.sum()])
-
-
 # -- optimizer -------------------------------------------------------------
 
 
@@ -275,29 +238,29 @@ def bfgs_minimize(
     config: InversionConfig,
     mesh: Mesh,
     measurements: MeasurementSet,
-    parameterization,
+    parameterization: RegionParameterization,
     x0: np.ndarray,
 ) -> InversionRun:
-    """Projected limited-memory BFGS on the stacked (lam, mu) parameter vector.
+    """Projected limited-memory BFGS over a RegionParameterization.
 
-    Every trial point is clipped to the parameterization's admissible box
-    (a, b, c, d): the lam half of x to [a, b], the mu half to [c, d].  The
-    Armijo test uses the slope of the clipped step, and curvature pairs that
-    fail the curvature condition are skipped.
+    x stacks the region values of lam and then of mu.  Every trial point is
+    clipped to the parameterization's box [lower, upper].  The Armijo test
+    uses the slope of the clipped step, and curvature pairs that fail the
+    curvature condition are skipped.
     """
     run = InversionRun()
-    lam_lo, lam_hi, mu_lo, mu_hi = parameterization.bounds
-    half = parameterization.n_params // 2
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (2 * parameterization.n_regions,):
+        raise ValueError(f"x0 must have shape {(2 * parameterization.n_regions,)}, got {x.shape}")
 
     def project(x):
-        return np.concatenate([np.clip(x[:half], lam_lo, lam_hi), np.clip(x[half:], mu_lo, mu_hi)])
+        return np.clip(x, parameterization.lower, parameterization.upper)
 
     def evaluate(x):
         field = parameterization.to_field(x)
         j, g_lam, g_mu = kohn_vogelius(field, mesh, measurements, config.rho)
         return j, parameterization.reduce_gradient(g_lam, g_mu), field
 
-    x = np.asarray(x0, dtype=float)
     if not np.array_equal(project(x), x):
         raise ValueError("initial point is infeasible")
     j, g, field = evaluate(x)

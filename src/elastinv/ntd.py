@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import ElasticitySolver, LameField, SurfaceLoad, load_coefficients
+from .fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients, quadrant_regions
 from .mesh import Mesh
 
 ORDER_TOL = 1e-8     # slack for inequalities obtained through eigen-solves
@@ -182,17 +182,7 @@ def quadrant_pair(mesh: Mesh, rng: np.random.Generator, bounds=(0.5, 4.0, 0.5, 8
     Two draws per quadrant from the admissible box are split into min/max
     envelopes, which yields an ordered pair by construction.
     """
-    a, b, c, d = bounds
-    cx, cy = mesh.element_centroids.T
-    quadrant = (cx < 0).astype(int) * 2 + (cy < 0).astype(int)
-
-    def draw():
-        lam_q = rng.uniform(a, b, size=4)
-        mu_q = rng.uniform(c, d, size=4)
-        return lam_q[quadrant], mu_q[quadrant]
-
-    lam_a, mu_a = draw()
-    lam_b, mu_b = draw()
-    lo = LameField(np.minimum(lam_a, lam_b), np.minimum(mu_a, mu_b), bounds=bounds)
-    hi = LameField(np.maximum(lam_a, lam_b), np.maximum(mu_a, mu_b), bounds=bounds)
-    return OrderedPair(lo, hi)
+    param = RegionParameterization(quadrant_regions(mesh), bounds)
+    x_a = rng.uniform(param.lower, param.upper)
+    x_b = rng.uniform(param.lower, param.upper)
+    return OrderedPair(param.to_field(np.minimum(x_a, x_b)), param.to_field(np.maximum(x_a, x_b)))

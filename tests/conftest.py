@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from elastinv import LameField, SurfaceLoad, generate_disk_mesh
-from elastinv.fem import strain_energy_density
+from elastinv.fem import RegionParameterization, strain_energy_density
 
 DEFAULT_LOADS = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.3, 0.5)]
 
@@ -42,6 +42,11 @@ def random_field(mesh, rng, lam_box=(1.0, 4.0), mu_box=(2.0, 8.0)):
         rng.uniform(*lam_box, mesh.n_elements),
         rng.uniform(*mu_box, mesh.n_elements),
     )
+
+
+def one_region(mesh):
+    """The parameterization of constant fields, one region over the whole mesh."""
+    return RegionParameterization(np.zeros(mesh.n_elements, dtype=int))
 
 
 def random_trace(mesh, rng):

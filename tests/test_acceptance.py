@@ -22,7 +22,6 @@ from elastinv.experiments import (
 )
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad, load_coefficients
 from elastinv.inversion import (
-    ConstantParameterization,
     generate_measurements,
     kohn_vogelius,
     kv_gradient,
@@ -35,7 +34,7 @@ from elastinv.ntd import (
     quadrant_pair,
     stability_ratio_experiment,
 )
-from conftest import interior_energy
+from conftest import interior_energy, one_region
 
 LOADS = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.3, 0.5)]
 
@@ -166,7 +165,7 @@ def test_criterion_6_gradient_oracle(surface_loads):
     # constant (2-parameter) variant, tighter tolerance
     truth = LameField.constant(3.0, 7.0, mesh.n_elements)
     meas = generate_measurements(mesh, truth, surface_loads)
-    param = ConstantParameterization(mesh)
+    param = one_region(mesh)
     x = np.array([2.0, 5.0])
     g = param.reduce_gradient(*kv_gradient(param.to_field(x), mesh, meas, 0.0))
     worst_const = 0.0

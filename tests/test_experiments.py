@@ -25,7 +25,8 @@ from elastinv.experiments import (
     run_experiment,
     truth_field,
 )
-from elastinv.inversion import NoiseSpec, PerElementParameterization
+from elastinv.fem import RegionParameterization
+from elastinv.inversion import NoiseSpec
 from elastinv.mesh import generate_disk_mesh
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -125,6 +126,26 @@ class TestConfig:
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"dirichlet_arc": ["3.0", "6.0"]},
+            {"dirichlet_arc": [True, 4.0]},
+            {"initial": ["1", "1"]},
+            {"initial": [True, True]},
+            {"initial": [True, 1]},
+            {"loads": [["0.1", "0.2"]]},
+            {"loads": [[0.1, False]]},
+            {"kind": "forward", "truth": {"type": "constant", "lam": "3", "mu": 7.0}},
+            {"kind": "forward", "truth": {"type": "constant", "lam": 3.0, "mu": True}},
+            {"kind": "forward", "truth": {"type": "radial-mu", "lam": "2.0"}},
+        ],
+    )
+    def test_numeric_strings_and_booleans_rejected(self, field):
+        # numpy would parse "3.0" and take true as 1; the config would keep either
+        with pytest.raises(ConfigError, match="numeric"):
+            ExperimentConfig.from_dict({"kind": "custom", **field})
 
     @pytest.mark.parametrize("kind", READS)
     def test_default_config_roundtrips(self, kind):
@@ -307,9 +328,8 @@ class TestBundles:
         truth = truth_field(config.truth, mesh)
         noise = NoiseSpec(config.noise, config.seed)
         measurements = make_measurements(config, mesh, data_mesh, truth, noise)
-        param = PerElementParameterization(mesh, bounds=PER_ELEMENT_BOUNDS)
-        x0 = np.repeat(np.array(config.initial), mesh.n_elements)
-        run = _reconstruct(config, mesh, measurements, param, x0, config.rho)
+        param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
+        run = _reconstruct(config, mesh, measurements, param, config.rho)
         assert row["initial_j"] == run.j_history[0]
         assert row["final_j"] == run.j_history[-1]
         assert (row["iterations"], row["converged"], row["reason"]) == (
@@ -362,6 +382,14 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "y").exists()
         assert "n_pairs" in capsys.readouterr().err
+
+    def test_arc_of_numeric_strings_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"target_h": 0.3, "dirichlet_arc": ["3.0", "6.0"]}')
+        code = main(["forward", "--config", str(cfg), "--out", str(tmp_path / "y")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "y").exists()
+        assert "dirichlet_arc" in capsys.readouterr().err
 
     def test_config_file_not_an_object_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

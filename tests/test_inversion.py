@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastinv import fem, inversion
-from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
+from elastinv.fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, quadrant_regions
 from elastinv.inversion import (
-    ConstantParameterization,
     InversionConfig,
     MeasurementSet,
     NoiseSpec,
-    PerElementParameterization,
     add_noise,
     bfgs_minimize,
     generate_measurements,
@@ -23,7 +21,7 @@ from elastinv.inversion import (
     transfer_trace,
 )
 from elastinv.mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
-from conftest import DEFAULT_LOADS, random_field
+from conftest import DEFAULT_LOADS, one_region, random_field
 
 # frozen single evaluation: (1,1) field against (3,7) data, 4 loads, h=0.2 mesh
 KV_11_AGAINST_37 = 0.8071706575831231
@@ -120,7 +118,7 @@ class TestEvaluationWork:
         assert np.array_equal(g_lam, g_ref[0]) and np.array_equal(g_mu, g_ref[1])
 
     def test_optimizer_evaluation(self, medium_mesh, crime_measurements, counts):
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         config = InversionConfig(max_iterations=0)
         bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         assert counts == {"solvers": 1, "splu": 2}
@@ -199,31 +197,59 @@ class TestGradient:
         assert np.allclose(gm_p, g_mu[perm], rtol=1e-9, atol=1e-14)
 
 
-class TestConstantParameterization:
-    def test_roundtrip(self, medium_mesh):
-        param = ConstantParameterization(medium_mesh)
-        x = np.array([2.5, 6.25])
-        field = param.to_field(x)
-        assert np.all(field.lam == 2.5) and np.all(field.mu == 6.25)
-        assert np.array_equal(param.from_field(field), x)
+# the region maps of the constant, per-element and quadrant fields
+REGION_MAPS = {
+    "one": lambda mesh: np.zeros(mesh.n_elements, dtype=int),
+    "element": lambda mesh: np.arange(mesh.n_elements),
+    "quadrant": quadrant_regions,
+}
 
-    def test_reduction_is_sum(self, medium_mesh):
-        param = ConstantParameterization(medium_mesh)
+
+class TestRegionParameterization:
+    @pytest.mark.parametrize("name", REGION_MAPS)
+    def test_roundtrip(self, medium_mesh, name):
+        regions = REGION_MAPS[name](medium_mesh)
+        param = RegionParameterization(regions, bounds=(0.5, 4.0, 0.5, 8.0))
+        assert param.n_regions == {"one": 1, "element": medium_mesh.n_elements, "quadrant": 4}[name]
+        x = np.random.default_rng(14).uniform(param.lower, param.upper)
+        field = param.to_field(x)
+        assert field.bounds == param.bounds
+        # every element of a region carries that region's values
+        lam, mu = np.zeros(param.n_regions), np.zeros(param.n_regions)
+        lam[regions], mu[regions] = field.lam, field.mu
+        assert np.array_equal(np.concatenate([lam, mu]), x)
+        assert np.array_equal(field.lam, lam[regions]) and np.array_equal(field.mu, mu[regions])
+
+    @pytest.mark.parametrize("name", REGION_MAPS)
+    def test_reduction_is_pairwise_sum(self, medium_mesh, name):
+        regions = REGION_MAPS[name](medium_mesh)
+        param = RegionParameterization(regions)
         rng = np.random.default_rng(13)
         g_lam = rng.standard_normal(medium_mesh.n_elements)
         g_mu = rng.standard_normal(medium_mesh.n_elements)
         reduced = param.reduce_gradient(g_lam, g_mu)
-        assert np.allclose(reduced, [g_lam.sum(), g_mu.sum()], rtol=1e-12)
+        if name == "one":
+            # ndarray.sum's pairwise order, to the bit
+            assert reduced.tolist() == [g_lam.sum(), g_mu.sum()]
+        elif name == "element":
+            assert np.array_equal(reduced, np.concatenate([g_lam, g_mu]))
+        else:
+            sums = [g[regions == k].sum() for g in (g_lam, g_mu) for k in range(4)]
+            assert np.allclose(reduced, sums, rtol=1e-12, atol=0.0)
 
-    def test_finite_difference_2d(self, coarse_mesh, loads):
+    # the per-element gradient is TestGradient's finite-difference oracle
+    @pytest.mark.parametrize("name, tol", [("one", 1e-6), ("quadrant", 1e-5)])
+    def test_finite_difference(self, coarse_mesh, loads, name, tol):
+        """Central differences of J along each coordinate of x."""
         truth = LameField.constant(3.0, 7.0, coarse_mesh.n_elements)
         meas = generate_measurements(coarse_mesh, truth, loads)
-        param = ConstantParameterization(coarse_mesh)
-        x = np.array([2.0, 5.0])
-        field = param.to_field(x)
-        g = param.reduce_gradient(*kv_gradient(field, coarse_mesh, meas, 0.0))
+        param = RegionParameterization(REGION_MAPS[name](coarse_mesh))
+        rng = np.random.default_rng(15)
+        x = np.repeat([2.0, 5.0], param.n_regions) + rng.uniform(0.0, 1.0, 2 * param.n_regions)
+        g = param.reduce_gradient(*kv_gradient(param.to_field(x), coarse_mesh, meas, 0.0))
         step = 1e-6
-        for i in range(2):
+        worst = 0.0
+        for i in range(len(x)):
             xp, xm = x.copy(), x.copy()
             xp[i] += step
             xm[i] -= step
@@ -231,27 +257,28 @@ class TestConstantParameterization:
                 kohn_vogelius(param.to_field(xp), coarse_mesh, meas, 0.0)[0]
                 - kohn_vogelius(param.to_field(xm), coarse_mesh, meas, 0.0)[0]
             ) / (2 * step)
-            assert abs(fd - g[i]) <= 1e-6 * abs(g[i])
+            worst = max(worst, abs(fd - g[i]) / abs(g[i]))
+        assert worst <= tol
 
 
 class TestBfgs:
     def test_starts_at_truth(self, medium_mesh, crime_measurements):
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         config = InversionConfig(max_iterations=50, gradient_tolerance=1e-9)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([3.0, 7.0]))
         assert run.converged
         assert run.iterations <= 1
 
     def test_recovers_constants(self, medium_mesh, crime_measurements):
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         config = InversionConfig(max_iterations=200, gradient_tolerance=1e-11)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
-        lam, mu = param.from_field(run.final_field)
+        lam, mu = run.final_field.lam[0], run.final_field.mu[0]
         assert abs(lam - 3.0) / 3.0 <= 1e-3
         assert abs(mu - 7.0) / 7.0 <= 1e-3
 
     def test_monotone_descent(self, medium_mesh, crime_measurements):
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         config = InversionConfig(max_iterations=30, gradient_tolerance=1e-13)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         j = np.array(run.j_history)
@@ -259,7 +286,7 @@ class TestBfgs:
 
     def test_deterministic(self, medium_mesh, field_37, loads):
         noisy = generate_measurements(medium_mesh, field_37, loads, NoiseSpec(0.03, 21))
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         config = InversionConfig(rho=1e-5, max_iterations=60, gradient_tolerance=1e-11)
         run_a = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
         run_b = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
@@ -269,9 +296,9 @@ class TestBfgs:
     def test_projection_box_respected(self, medium_mesh, crime_measurements):
         # the truth (3, 7) lies outside the box, so the iterates run into it
         box = (0.5, 4.0, 0.5, 5.0)
-        param = PerElementParameterization(medium_mesh, bounds=box)
+        param = RegionParameterization(np.arange(medium_mesh.n_elements), bounds=box)
         config = InversionConfig(max_iterations=10, gradient_tolerance=1e-13)
-        x0 = np.ones(param.n_params)
+        x0 = np.ones(2 * param.n_regions)
         run = bfgs_minimize(config, medium_mesh, crime_measurements, param, x0)
         lam, mu = run.final_field.lam, run.final_field.mu
         assert lam.min() >= box[0] and lam.max() <= box[1]
@@ -296,9 +323,17 @@ class TestBfgs:
             InversionConfig(**bad)
 
     def test_infeasible_start_rejected(self, medium_mesh, crime_measurements):
-        param = ConstantParameterization(medium_mesh)
+        param = one_region(medium_mesh)
         with pytest.raises(ValueError, match="infeasible"):
             bfgs_minimize(InversionConfig(), medium_mesh, crime_measurements, param, np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("x0", [np.ones(5), np.ones(1), np.ones((2, 1))])
+    def test_x0_of_wrong_shape_rejected(self, medium_mesh, crime_measurements, monkeypatch, x0):
+        # rejected before the first evaluation, even when no iteration would run
+        monkeypatch.setattr(inversion, "kohn_vogelius", lambda *args: pytest.fail("evaluated"))
+        param = one_region(medium_mesh)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            bfgs_minimize(InversionConfig(max_iterations=0), medium_mesh, crime_measurements, param, x0)
 
 
 class TestTraceTransfer:

@@ -180,6 +180,29 @@ class TestStabilityExperiment:
         # distinguishability: distinct ordered parameters give distinct operators
         assert all(d > 0 for d in rep.operator_distances)
 
+    @pytest.mark.parametrize("seed", [0, 7, 104, 2024])
+    def test_quadrant_pair_keeps_its_draws(self, medium_mesh, seed):
+        """The pairs of the per-quadrant draw that quadrant_pair was first written with."""
+        a, b, c, d = 0.5, 4.0, 0.5, 8.0
+        cx, cy = medium_mesh.element_centroids.T
+        quadrant = (cx < 0).astype(int) * 2 + (cy < 0).astype(int)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        def draw():
+            lam_q = ref_rng.uniform(a, b, size=4)
+            mu_q = ref_rng.uniform(c, d, size=4)
+            return lam_q[quadrant], mu_q[quadrant]
+
+        for _ in range(3):
+            lam_a, mu_a = draw()
+            lam_b, mu_b = draw()
+            pair = quadrant_pair(medium_mesh, rng)
+            assert np.array_equal(pair.field_1.lam, np.minimum(lam_a, lam_b))
+            assert np.array_equal(pair.field_1.mu, np.minimum(mu_a, mu_b))
+            assert np.array_equal(pair.field_2.lam, np.maximum(lam_a, lam_b))
+            assert np.array_equal(pair.field_2.mu, np.maximum(mu_a, mu_b))
+            assert pair.field_1.bounds == pair.field_2.bounds == (a, b, c, d)
+
     def test_quadrant_pair_is_ordered(self, coarse_mesh):
         rng = np.random.default_rng(8)
         for _ in range(5):

@@ -88,6 +88,9 @@ class ExperimentConfig:
             self.dirichlet_arc = tuple(self.dirichlet_arc)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
+        for name in ("noise", "rho", "gradient_tolerance"):
+            if _float_array(getattr(self, name), name).shape != ():
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (0.0 <= self.noise < 1.0):
             raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
         if not (0.0 <= self.rho < math.inf):

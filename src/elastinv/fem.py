@@ -49,13 +49,12 @@ def release_free_heap() -> None:
     """Return the free pages of the C heap to the OS; a no-op off glibc.
 
     SuperLU sizes the storage of a factorization by a fixed fill ratio, a few
-    MB per factor at h=0.08, and an optimizer evaluation frees its two factors
-    again.  Once glibc serves such blocks from the heap, a small long-lived
-    block that lands above a freed one stops free() from returning its
-    touched pages, and the next factors are placed beside them: the peak RSS
-    of a reconstruction run then varied by ~4 MB from run to run with the
-    heap layout.  Trimming after each evaluation drops those pages whatever
-    the layout.
+    MB per factor at h=0.08.  Once glibc serves such blocks from the heap, a
+    small long-lived block above a freed one stops free() from returning its
+    touched pages, and the peak RSS of a run varied by ~4 MB with the heap
+    layout.  An optimizer run calls this once, when it returns, so each row
+    and run starts from a trimmed heap; a trim after every evaluation made
+    the next evaluation's factorizations fault the pages straight back in.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -214,32 +213,27 @@ class Discretization:
     # built on first use: a traction-only run never builds the interior blocks
     @cached_property
     def free_pattern(self) -> "BlockPattern":
-        return BlockPattern.ordered(self.triangles, self._node_graph(), self.free_nodes)
+        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self.triangles)
 
+    # interior and trace nodes are free: these blocks are gathered from the free block's data
     @cached_property
     def interior_pattern(self) -> "BlockPattern":
-        return BlockPattern.ordered(self.triangles, self._node_graph(), self.interior_nodes)
+        return self.free_pattern.sub_block(BlockPattern.ordered(self._node_graph(), self.interior_nodes))
 
     @cached_property
     def coupling_pattern(self) -> "BlockPattern":
         """The interior x trace block, rows in the interior block's order."""
         rows, cols = self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
-        return BlockPattern(self.triangles, self._node_graph(), rows, cols)
+        return self.free_pattern.sub_block(BlockPattern(self._node_graph(), rows, cols))
 
-    def strains(self, displacement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element symmetric strain (n_el, 2, 2) and divergence (n_el,)."""
-        u = displacement[self.triangles]  # (n_el, 3, 2)
-        exx = np.einsum("ej,ej->e", self.bx, u[..., 0])
-        eyy = np.einsum("ej,ej->e", self.by, u[..., 1])
-        exy = 0.5 * (
-            np.einsum("ej,ej->e", self.by, u[..., 0])
-            + np.einsum("ej,ej->e", self.bx, u[..., 1])
-        )
-        strain = np.empty((len(exx), 2, 2))
-        strain[:, 0, 0] = exx
-        strain[:, 1, 1] = eyy
-        strain[:, 0, 1] = strain[:, 1, 0] = exy
-        return strain, exx + eyy
+    def strains(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element symmetric strains (k, n_el, 2, 2) and divergences
+        (k, n_el) of a (2n, k) block of nodal displacements, one row per column."""
+        u = np.take(U.T.reshape(U.shape[1], -1, 2), self.triangles, axis=1)  # (k, n_el, 3, 2)
+        exx = np.einsum("ej,kej->ke", self.bx, u[..., 0])
+        eyy = np.einsum("ej,kej->ke", self.by, u[..., 1])
+        exy = 0.5 * (np.einsum("ej,kej->ke", self.by, u[..., 0]) + np.einsum("ej,kej->ke", self.bx, u[..., 1]))
+        return np.stack([exx, exy, exy, eyy], axis=-1).reshape(exx.shape + (2, 2)), exx + eyy
 
 
 # meshes are not modified after construction (their own cached properties
@@ -256,8 +250,8 @@ def discretization(mesh: Mesh) -> Discretization:
 
 
 def strain_energy_density(field: LameField, strain: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """Per-element energy density C(strain):strain = lam*div^2 + 2*mu*strain:strain."""
-    ss = np.einsum("eij,eij->e", strain, strain)
+    """Per-element energy densities (k, n_el) lam*div^2 + 2*mu*strain:strain of a k-column block."""
+    ss = np.einsum("keij,keij->ke", strain, strain)
     return field.lam * div**2 + 2.0 * field.mu * ss
 
 
@@ -280,23 +274,25 @@ def _fill_reducing_order(graph: sp.csr_matrix) -> np.ndarray:
 
 
 class BlockPattern:
-    """CSR pattern of one stiffness block, with the position of every
-    element-matrix entry in its data.
+    """CSR pattern of one stiffness block, column indices sorted in each row.
 
     Row 2p, 2p + 1 of the block are the x, y dofs of row_nodes[p] (`rows`
-    lists them), and likewise for the columns (`cols`).  `scatter` maps the
-    flattened (n_el, 6, 6) element matrices, on the interleaved element dofs
-    (x0, y0, x1, y1, x2, y2), to CSR data indices; entries outside the block
-    map to the dummy slot `nnz`.
+    lists them), and likewise for the columns (`cols`).  Given the mesh
+    triangles, `scatter` maps the flattened (n_el, 6, 6) element matrices,
+    on the interleaved element dofs (x0, y0, x1, y1, x2, y2), to CSR data
+    indices; entries outside the block map to the dummy slot `nnz`.  A block
+    made by `sub_block` carries the positions of its entries (`source`) instead.
     """
 
-    def __init__(self, triangles: np.ndarray, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray):
+    def __init__(self, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray, triangles=None):
         self.rows, self.cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
         # two dofs couple when their nodes share an element: the node
         # adjacency of the block, each entry widened to a 2x2 dof block
         nodes = graph[row_nodes][:, col_nodes].sorted_indices()
         block = sp.kron(nodes, np.ones((2, 2), dtype=np.int8), format="csr")
         self.shape, self.nnz, self.indices, self.indptr = block.shape, block.nnz, block.indices, block.indptr
+        if triangles is None:
+            return
 
         # node pairs' (row, col) keys ascend along the node block's data, so
         # each element's node pairs find their slots t by binary search; the
@@ -322,16 +318,27 @@ class BlockPattern:
         self.scatter = scatter.ravel()
 
     @classmethod
-    def ordered(cls, triangles: np.ndarray, graph: sp.csr_matrix, nodes: np.ndarray) -> "BlockPattern":
+    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, triangles=None) -> "BlockPattern":
         """The square block on nodes, rows and columns in the fill-reducing
         order of its node graph."""
         nodes = nodes[_fill_reducing_order(graph[nodes][:, nodes])]
-        return cls(triangles, graph, nodes, nodes)
+        return cls(graph, nodes, nodes, triangles)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
         """The block of the stiffness with flattened element matrices ke."""
-        data = np.bincount(self.scatter, weights=ke, minlength=self.nnz + 1)[: self.nnz]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        return self.matrix(np.bincount(self.scatter, weights=ke, minlength=self.nnz + 1)[: self.nnz])
+
+    def sub_block(self, sub: "BlockPattern") -> "BlockPattern":
+        """sub, a block on some rows and columns of this square block, with
+        the data index here of each of its entries, in its CSR order (`source`)."""
+        pos = np.zeros(self.rows.max() + 1, dtype=np.int64)
+        pos[self.rows] = np.arange(len(self.rows))
+        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), self.indices, self.indptr), shape=self.shape)
+        sub.source = slots[pos[sub.rows]][:, pos[sub.cols]].sorted_indices().data - 1
+        return sub
 
 
 def element_stiffness(disc: Discretization, field: LameField) -> np.ndarray:
@@ -426,11 +433,12 @@ def _inf_norm(K: sp.csr_matrix) -> float:
 class ElasticitySolver:
     """Traction and prescribed-trace solves sharing one stiffness per field.
 
-    The element matrices are computed once per field; each stiffness block
-    is scattered into its per-mesh pattern and factored on first use.  Every
-    solve takes a block of right-hand sides, one column per load or trace,
-    against one factorization per boundary partition.  Factorizations are
-    reused across blocks; they are immutable once constructed.
+    The element matrices are computed once per field.  On first use they are
+    scattered into the free block, the interior blocks are gathered from its
+    data, and each block is factored.  Every solve takes a block of
+    right-hand sides, one column per load or trace, against one
+    factorization per boundary partition.  Factorizations are reused across
+    blocks; they are immutable once constructed.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
@@ -446,12 +454,12 @@ class ElasticitySolver:
 
     @cached_property
     def K_interior(self) -> sp.csr_matrix:
-        return self.disc.interior_pattern.assemble(self._ke)
+        return self.disc.interior_pattern.matrix(self.K_free.data[self.disc.interior_pattern.source])
 
     @cached_property
     def K_it(self) -> sp.csr_matrix:
         """Coupling of interior rows to disc.trace_dofs columns."""
-        return self.disc.coupling_pattern.assemble(self._ke)
+        return self.disc.coupling_pattern.matrix(self.K_free.data[self.disc.coupling_pattern.source])
 
     @cached_property
     def _neumann_factor(self):

@@ -141,25 +141,25 @@ def kohn_vogelius(
     U_n = solver.solve_neumann(load_coefficients(mesh, [g for g, _ in measurements.pairs]))
     U_d = solver.solve_dirichlet(np.column_stack([np.ravel(f) for _, f in measurements.pairs]))
     area = mesh.element_areas
+    strain_n, div_n = disc.strains(U_n)
+    strain_d, div_d = disc.strains(U_d)
+    ss_n = np.einsum("keij,keij->ke", strain_n, strain_n)
+    ss_d = np.einsum("keij,keij->ke", strain_d, strain_d)
+    # one contiguous row per load (k, n_el): a strided operand takes another dot path
+    energy = strain_energy_density(field, strain_n - strain_d, div_n - div_d)
+    d_lam = (div_d**2 - div_n**2) * area
+    d_mu = 2.0 * (ss_d - ss_n) * area
     j = 0.0
     g_lam = np.zeros(mesh.n_elements)
     g_mu = np.zeros(mesh.n_elements)
     for k in range(len(measurements.pairs)):
-        strain_n, div_n = disc.strains(U_n[:, k].reshape(-1, 2))
-        strain_d, div_d = disc.strains(U_d[:, k].reshape(-1, 2))
-        j += float(np.dot(area, strain_energy_density(field, strain_n - strain_d, div_n - div_d)))
-        ss_n = np.einsum("eij,eij->e", strain_n, strain_n)
-        ss_d = np.einsum("eij,eij->e", strain_d, strain_d)
-        g_lam += (div_d**2 - div_n**2) * area
-        g_mu += 2.0 * (ss_d - ss_n) * area
+        j += float(np.dot(area, energy[k]))
+        g_lam += d_lam[k]
+        g_mu += d_mu[k]
     if rho:
         j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
         g_lam += rho * field.lam * area
         g_mu += rho * field.mu * area
-    # free both factorizations, then hand their pages back, so that the peak
-    # RSS of a long optimizer run does not depend on where they were placed
-    del solver
-    release_free_heap()
     return j, g_lam, g_mu
 
 
@@ -274,7 +274,7 @@ def bfgs_minimize(
         if gnorm <= config.gradient_tolerance:
             run.converged = True
             run.reason = "gradient tolerance reached"
-            return run
+            break
 
         d = -lbfgs.apply(g)
         if d @ g >= 0.0:
@@ -297,7 +297,7 @@ def bfgs_minimize(
             alpha *= BACKTRACK_FACTOR
         if not accepted:
             run.reason = "line search failed"
-            return run
+            break
 
         s = x_trial - x
         y = g_trial - g
@@ -309,7 +309,9 @@ def bfgs_minimize(
         run.grad_history.append(float(np.abs(g).max()))
         run.step_history.append(alpha)
         run.final_field = field
-
-    run.reason = "max iterations reached"
-    run.converged = float(np.abs(g).max()) <= config.gradient_tolerance
+    else:
+        run.reason = "max iterations reached"
+        run.converged = float(np.abs(g).max()) <= config.gradient_tolerance
+    # every evaluation's solver and factors are gone: trim once per run, not per evaluation
+    release_free_heap()
     return run

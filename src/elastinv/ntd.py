@@ -82,20 +82,20 @@ def monotonicity_sandwich(
     dlam = s1.field.lam - s2.field.lam
     dmu = s1.field.mu - s2.field.mu
 
-    def weighted(u):
-        strain, div = disc.strains(u.reshape(-1, 2))
-        ss = np.einsum("eij,eij->e", strain, strain)
-        return float(np.dot(disc.area, dlam * div**2 + 2.0 * dmu * ss))
+    def weighted(U):  # one contiguous row of weighted densities per load
+        strain, div = disc.strains(U)
+        return dlam * div**2 + 2.0 * dmu * np.einsum("keij,keij->ke", strain, strain)
 
     coeffs = load_coefficients(s1.mesh, loads)
     U1, U2 = s1.solve_neumann(coeffs), s2.solve_neumann(coeffs)
+    w1, w2 = weighted(U1), weighted(U2)
     M, trace = disc.boundary_mass, disc.trace_dofs
     terms = []
     for j in range(len(loads)):
         # a strided g takes another dot-product path and moves mid in the last bit
         g = np.ascontiguousarray(coeffs[:, j])
         mid = float(g @ (M @ U2[trace, j])) - float(g @ (M @ U1[trace, j]))
-        terms.append((weighted(U2[:, j]), mid, weighted(U1[:, j])))
+        terms.append((float(np.dot(disc.area, w2[j])), mid, float(np.dot(disc.area, w1[j]))))
     return terms
 
 

@@ -121,6 +121,16 @@ class TestConfig:
             {"kind": "stability", "n_pairs": True},
             {"seed": False},
             {"kind": "example2", "max_iterations": True},
+            # nor are they numbers
+            {"kind": "custom", "rho": True},
+            {"kind": "custom", "noise": False},
+            {"kind": "custom", "gradient_tolerance": True},
+            {"kind": "example2", "gradient_tolerance": True},
+            {"kind": "custom", "rho": np.True_},
+            {"kind": "custom", "noise": "0.03"},
+            {"kind": "custom", "rho": [1e-4]},
+            {"kind": "custom", "gradient_tolerance": None},
+            {"kind": "custom", "gradient_tolerance": math.inf},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -382,6 +392,14 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "y").exists()
         assert "n_pairs" in capsys.readouterr().err
+
+    def test_boolean_rho_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"kind": "custom", "target_h": 0.3, "rho": true}')
+        code = main(["custom", "--config", str(cfg), "--out", str(tmp_path / "y")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "y").exists()
+        assert "rho must be numeric" in capsys.readouterr().err
 
     def test_arc_of_numeric_strings_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -153,6 +153,28 @@ class TestAssembly:
             assert np.array_equal(block.indices, ref.indices), name
             assert np.abs(block.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max(), name
 
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_gathered_blocks_match_scatter_reference(self, arc):
+        """The interior blocks gathered from K_free's data are bit for bit a
+        scatter of the element matrices into their own patterns."""
+        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+        solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(12)))
+        dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)  # interleaved element dofs
+        ke = fem.element_stiffness(solver.disc, solver.field)
+        for name, block, rows, cols in _blocks(solver)[1:]:
+            # block positions of the element dofs, -1 outside the block
+            r, c = np.full(solver.disc.n_dofs, -1), np.full(solver.disc.n_dofs, -1)
+            r[rows], c[cols] = np.arange(len(rows)), np.arange(len(cols))
+            er, ec = np.broadcast_arrays(r[dofs][:, :, None], c[dofs][:, None, :])
+            inside = (er >= 0) & (ec >= 0)
+            # each inside entry's data slot, looked up in a copy of the block's pattern
+            slots = sp.csr_matrix((np.arange(1, block.nnz + 1), block.indices, block.indptr), shape=block.shape)
+            slot = np.asarray(slots[er[inside], ec[inside]]).ravel() - 1
+            assert np.all(slot >= 0), name
+            # the boolean mask keeps element order, so each slot sums its entries in element order
+            ref = np.bincount(slot, weights=ke[inside], minlength=block.nnz)
+            assert np.array_equal(block.data, ref), name
+
     def test_doubling_field_doubles_stiffness(self, medium_mesh):
         s1 = ElasticitySolver(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
         s2 = ElasticitySolver(medium_mesh, LameField.constant(6.0, 14.0, medium_mesh.n_elements))
@@ -351,10 +373,26 @@ class TestNeumannSolve:
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         u = solve_load(solver, SurfaceLoad(constant=(0.3, 0.5)))
-        strain, div = solver.disc.strains(u.reshape(-1, 2))
-        trace = np.trace(strain, axis1=1, axis2=2)
+        strain, div = solver.disc.strains(u[:, None])
+        trace = np.trace(strain, axis1=2, axis2=3)
         assert np.array_equal(div, trace)
-        assert np.array_equal(strain, strain.transpose(0, 2, 1))
+        assert np.array_equal(strain, strain.transpose(0, 1, 3, 2))
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_block_strains_match_columnwise_formula(self, arc):
+        """Bit for bit the single-column formula that the reconstruction bundles were computed with."""
+        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+        disc = discretization(mesh)
+        U = np.random.default_rng(11).standard_normal((disc.n_dofs, 4))
+        strain, div = disc.strains(U)
+        assert strain.shape == (4, mesh.n_elements, 2, 2) and div.shape == (4, mesh.n_elements)
+        for k in range(4):
+            u = U[:, k].reshape(-1, 2)[mesh.triangles]  # (n_el, 3, 2)
+            exx = np.einsum("ej,ej->e", disc.bx, u[..., 0])
+            eyy = np.einsum("ej,ej->e", disc.by, u[..., 1])
+            exy = 0.5 * (np.einsum("ej,ej->e", disc.by, u[..., 0]) + np.einsum("ej,ej->e", disc.bx, u[..., 1]))
+            assert np.array_equal(strain[k], np.stack([exx, exy, exy, eyy], axis=1).reshape(-1, 2, 2))
+            assert np.array_equal(div[k], exx + eyy)
 
     def test_load_size_mismatch(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)

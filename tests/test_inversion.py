@@ -123,21 +123,44 @@ class TestEvaluationWork:
         bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
         assert counts == {"solvers": 1, "splu": 2}
 
-    def test_heap_released_after_factorizations(self, medium_mesh, field_11, crime_measurements, monkeypatch):
-        solvers, alive_at_release = [], []
-        init = ElasticitySolver.__init__
+    @pytest.mark.parametrize(
+        "settings, reason",
+        [
+            ({"max_iterations": 0}, "max iterations reached"),
+            ({"max_iterations": 3, "gradient_tolerance": 1e300}, "gradient tolerance reached"),
+            ({"max_iterations": 2}, "max iterations reached"),
+        ],
+        ids=["no-iterations", "gradient-tolerance", "iteration-cap"],
+    )
+    def test_heap_released_once_per_run(self, medium_mesh, crime_measurements, monkeypatch, settings, reason):
+        solvers, releases = [], []
+        in_evaluation = [False]
+        init, evaluate = ElasticitySolver.__init__, inversion.kohn_vogelius
 
         def tracking_init(self, *args):
             solvers.append(weakref.ref(self))
             init(self, *args)
 
+        def tracking_evaluate(*args):
+            in_evaluation[0] = True
+            try:
+                return evaluate(*args)
+            finally:
+                in_evaluation[0] = False
+
         monkeypatch.setattr(ElasticitySolver, "__init__", tracking_init)
+        monkeypatch.setattr(inversion, "kohn_vogelius", tracking_evaluate)
         monkeypatch.setattr(
-            inversion, "release_free_heap", lambda: alive_at_release.append([s() is not None for s in solvers])
+            inversion, "release_free_heap",
+            lambda: releases.append((in_evaluation[0], [s() is not None for s in solvers])),
         )
-        kohn_vogelius(field_11, medium_mesh, crime_measurements)
-        # one release per evaluation, once its solver (and so its factors) is gone
-        assert alive_at_release == [[False]]
+        run = bfgs_minimize(
+            InversionConfig(**settings), medium_mesh, crime_measurements, one_region(medium_mesh), np.array([1.0, 1.0])
+        )
+        assert run.reason == reason
+        # one release, outside every evaluation, once the run's solvers (and so their factors) are gone
+        assert len(solvers) >= 1 + run.iterations
+        assert releases == [(False, [False] * len(solvers))]
 
 
 class TestGradient:

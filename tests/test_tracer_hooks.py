@@ -55,6 +55,25 @@ def test_hot_path_metrics_are_lit(tracing):
         assert metrics[name]["value"] > 0, name
 
 
+def test_factorizations_match_evaluations(tracing):
+    """Each Kohn-Vogelius evaluation factors two blocks, and each row's data
+    synthesis one: a speedup counts only when these counts agree with it."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        bundle = experiments.run_experiment(ExperimentConfig(kind="example2", target_h=0.3, max_iterations=3))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    rows = bundle.report["table"]
+    assert len(rows) == 2
+    evaluations = metrics["inversion.evaluations"]["value"]
+    assert evaluations > 0
+    assert metrics["fem.factorizations"]["value"] == 2 * evaluations + len(rows)
+
+
 def test_ntd_hat_load_solves_are_counted(tracing):
     config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
     m = len(build_mesh(config, config.target_h).neumann_nodes)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import inversion as inv
 from . import ntd
-from .fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients
+from .fem import DEFAULT_BOUNDS, ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients
 from .mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 
 SCHEMA_VERSION = 1
@@ -120,6 +120,10 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.kind} does not read {', '.join(unread)}; leave unread fields at their defaults")
+        # the box the kind's optimizer keeps to; example1 fits two constants
+        a, b, c, d = DEFAULT_BOUNDS if self.kind == "example1" else PER_ELEMENT_BOUNDS
+        if not (a <= initial[0] <= b and c <= initial[1] <= d):
+            raise ConfigError(f"initial must lie in the admissible box {(a, b, c, d)}, got {self.initial!r}")
 
     def to_dict(self) -> dict:
         # tuples are written as JSON arrays, and __post_init__ turns them back
@@ -300,11 +304,13 @@ def _reconstruct(
     measurements: inv.MeasurementSet,
     parameterization: RegionParameterization,
     rho: float,
+    target_j: float | None = None,
 ) -> inv.InversionRun:
     opt = inv.InversionConfig(
         rho=rho,
         max_iterations=config.max_iterations,
         gradient_tolerance=config.gradient_tolerance,
+        target_j=target_j,
     )
     x0 = np.repeat(config.initial, parameterization.n_regions)
     return inv.bfgs_minimize(opt, mesh, measurements, parameterization, x0)
@@ -316,6 +322,9 @@ EXAMPLE1_SETTINGS = [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)]
 EXAMPLE23_SETTINGS = [(0.0, 0.0), (0.03, 1e-4)]
 # admissible box of the per-element unknowns, enforced by projection
 PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
+# a noisy example2/3 run stops at J <= DISCREPANCY_TAU * J(truth), Morozov's
+# discrepancy principle; example1's two constants are well posed and need no stop
+DISCREPANCY_TAU = 1.5
 
 
 def run_example1(config: ExperimentConfig) -> ResultBundle:
@@ -353,9 +362,12 @@ def run_example1(config: ExperimentConfig) -> ResultBundle:
 
 
 def _run_per_element_example(
-    config: ExperimentConfig, truth_spec: dict, settings: list[tuple[float, float]]
+    config: ExperimentConfig, truth_spec: dict, settings: list[tuple[float, float]], discrepancy: bool = True
 ) -> tuple[ResultBundle, Mesh]:
-    """One per-element reconstruction per (noise, rho) setting; the bundle and its mesh."""
+    """One per-element reconstruction per (noise, rho) setting; the bundle and its mesh.
+
+    With discrepancy, a noisy run stops at the noise floor: the truth's J on its data and rho.
+    """
     mesh, data_mesh = build_meshes(config)
     truth_data = truth_field(truth_spec, data_mesh)
     truth_inv = truth_field(truth_spec, mesh)
@@ -366,7 +378,9 @@ def _run_per_element_example(
     for i, (eps, rho) in enumerate(settings):
         noise = inv.NoiseSpec(eps, config.seed + i)
         measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
-        run = _reconstruct(config, mesh, measurements, param, rho)
+        floor = inv.kohn_vogelius(truth_inv, mesh, measurements, rho)[0] if discrepancy and eps > 0 else None
+        target = None if floor is None else DISCREPANCY_TAU * floor
+        run = _reconstruct(config, mesh, measurements, param, rho, target)
         rec = run.final_field
         rows.append(
             {
@@ -377,6 +391,7 @@ def _run_per_element_example(
                 "iterations": run.iterations,
                 "converged": run.converged,
                 "reason": run.reason,
+                "noise_floor_j": floor,
                 "rel_l2_error_lam": relative_l2_error(mesh, rec.lam, truth_inv.lam),
                 "rel_l2_error_mu": relative_l2_error(mesh, rec.mu, truth_inv.mu),
             }
@@ -491,7 +506,8 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
 
 def run_custom(config: ExperimentConfig) -> ResultBundle:
     """Per-element reconstruction of the configured truth at the configured noise and rho."""
-    return _run_per_element_example(config, config.truth, [(config.noise, config.rho)])[0]
+    # the noise floor needs the truth, which real data does not give
+    return _run_per_element_example(config, config.truth, [(config.noise, config.rho)], discrepancy=False)[0]
 
 
 RUNNERS = {

@@ -60,6 +60,10 @@ def release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
+# the admissible box (a, b, c, d) of lam in [a, b] and mu in [c, d] unless one is given
+DEFAULT_BOUNDS = (1e-6, 1e6, 1e-6, 1e6)
+
+
 class FemError(RuntimeError):
     """Solver failure or inconsistent FEM input."""
 
@@ -73,7 +77,7 @@ class LameField:
 
     lam: np.ndarray
     mu: np.ndarray
-    bounds: tuple[float, float, float, float] = (1e-6, 1e6, 1e-6, 1e6)
+    bounds: tuple[float, float, float, float] = DEFAULT_BOUNDS
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -111,7 +115,7 @@ class RegionParameterization:
     region gives constant fields, np.arange(n_elements) per-element ones.
     """
 
-    def __init__(self, regions: np.ndarray, bounds=(1e-6, 1e6, 1e-6, 1e6)):
+    def __init__(self, regions: np.ndarray, bounds=DEFAULT_BOUNDS):
         self.regions = np.asarray(regions)
         self.bounds = bounds
         self.n_regions = r = int(self.regions.max()) + 1

@@ -176,6 +176,8 @@ class InversionConfig:
     rho: float = 0.0
     max_iterations: int = 200
     gradient_tolerance: float = 1e-10
+    # stop at the first iterate with J <= target_j (a discrepancy principle)
+    target_j: float | None = None
 
     def __post_init__(self):
         # the negated comparisons also reject NaN
@@ -246,34 +248,52 @@ def bfgs_minimize(
     x stacks the region values of lam and then of mu.  Every trial point is
     clipped to the parameterization's box [lower, upper].  The Armijo test
     uses the slope of the clipped step, and curvature pairs that fail the
-    curvature condition are skipped.
+    curvature condition are skipped.  When the L-BFGS direction finds no
+    Armijo step, the memory is dropped and steepest descent is tried once.
+    The gradient test reads the projected gradient: g without the components
+    that point out of the box where x sits at a bound.  The run stops at the
+    first iterate with J <= config.target_j, when that is set.
     """
     run = InversionRun()
     x = np.asarray(x0, dtype=float)
     if x.shape != (2 * parameterization.n_regions,):
         raise ValueError(f"x0 must have shape {(2 * parameterization.n_regions,)}, got {x.shape}")
-
-    def project(x):
-        return np.clip(x, parameterization.lower, parameterization.upper)
+    lower, upper = parameterization.lower, parameterization.upper
 
     def evaluate(x):
         field = parameterization.to_field(x)
         j, g_lam, g_mu = kohn_vogelius(field, mesh, measurements, config.rho)
-        return j, parameterization.reduce_gradient(g_lam, g_mu), field
+        g = parameterization.reduce_gradient(g_lam, g_mu)
+        blocked = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
+        return j, g, field, float(np.abs(np.where(blocked, 0.0, g)).max())
 
-    if not np.array_equal(project(x), x):
+    def line_search(d):
+        """(step, point, evaluation) of the first Armijo point along d, halving from 1, or None."""
+        alpha = 1.0
+        for _bt in range(MAX_BACKTRACKS):
+            x_trial = np.clip(x + alpha * d, lower, upper)
+            decrease = float(g @ (x_trial - x))  # slope of the clipped step
+            if decrease < 0.0:
+                trial = evaluate(x_trial)
+                if trial[0] <= j + ARMIJO_C1 * decrease:
+                    return alpha, x_trial, trial
+            alpha *= BACKTRACK_FACTOR
+        return None
+
+    if not np.array_equal(np.clip(x, lower, upper), x):
         raise ValueError("initial point is infeasible")
-    j, g, field = evaluate(x)
-    run.j_history.append(j)
-    run.grad_history.append(float(np.abs(g).max()))
-    run.final_field = field
+    j, g, run.final_field, gnorm = evaluate(x)
     lbfgs = _LBfgsDirection()
-
-    for _ in range(config.max_iterations):
-        gnorm = float(np.abs(g).max())
+    while True:
+        run.j_history.append(j)
+        run.grad_history.append(gnorm)
         if gnorm <= config.gradient_tolerance:
-            run.converged = True
-            run.reason = "gradient tolerance reached"
+            run.converged, run.reason = True, "gradient tolerance reached"
+        elif config.target_j is not None and j <= config.target_j:
+            run.reason = "noise floor reached"
+        elif run.iterations == config.max_iterations:
+            run.reason = "max iterations reached"
+        if run.reason:
             break
 
         d = -lbfgs.apply(g)
@@ -281,37 +301,22 @@ def bfgs_minimize(
             # not a descent direction; reset to steepest descent
             d = -g
             lbfgs = _LBfgsDirection()
-
-        alpha = 1.0
-        accepted = False
-        for _bt in range(MAX_BACKTRACKS):
-            x_trial = project(x + alpha * d)
-            decrease = float(g @ (x_trial - x))  # slope of the clipped step
-            if decrease >= 0.0:
-                alpha *= BACKTRACK_FACTOR
-                continue
-            j_trial, g_trial, field_trial = evaluate(x_trial)
-            if j_trial <= j + ARMIJO_C1 * decrease:
-                accepted = True
-                break
-            alpha *= BACKTRACK_FACTOR
-        if not accepted:
+        found = line_search(d)
+        if found is None and lbfgs.s:
+            # stale curvature pairs: restart from steepest descent once
+            lbfgs = _LBfgsDirection()
+            found = line_search(-g)
+        if found is None:
             run.reason = "line search failed"
             break
 
-        s = x_trial - x
-        y = g_trial - g
+        alpha, x_new, (j, g_new, run.final_field, gnorm) = found
+        s = x_new - x
+        y = g_new - g
         if float(s @ y) > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
             lbfgs.push(s, y)
-
-        x, j, g, field = x_trial, j_trial, g_trial, field_trial
-        run.j_history.append(j)
-        run.grad_history.append(float(np.abs(g).max()))
+        x, g = x_new, g_new
         run.step_history.append(alpha)
-        run.final_field = field
-    else:
-        run.reason = "max iterations reached"
-        run.converged = float(np.abs(g).max()) <= config.gradient_tolerance
     # every evaluation's solver and factors are gone: trim once per run, not per evaluation
     release_free_heap()
     return run

@@ -12,6 +12,8 @@ import pytest
 
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
+    DISCREPANCY_TAU,
+    EXAMPLE23_SETTINGS,
     PER_ELEMENT_BOUNDS,
     READS,
     ConfigError,
@@ -25,8 +27,8 @@ from elastinv.experiments import (
     run_experiment,
     truth_field,
 )
-from elastinv.fem import RegionParameterization
-from elastinv.inversion import NoiseSpec
+from elastinv.fem import ElasticitySolver, RegionParameterization
+from elastinv.inversion import NoiseSpec, kohn_vogelius
 from elastinv.mesh import generate_disk_mesh
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -332,6 +334,8 @@ class TestBundles:
         bundle = run_experiment(config)
         (row,) = bundle.report["table"]
         assert (row["epsilon"], row["rho"]) == (0.03, 1e-4)
+        # no truth-free noise floor exists, so a noisy custom run has no such stop
+        assert row["noise_floor_j"] is None
 
         # the same measurements and optimizer run, made directly
         mesh, data_mesh = build_meshes(config)
@@ -354,6 +358,36 @@ class TestBundles:
             files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert files["a"] == files["b"]
         assert "convergence_eps0.03_rho0.0001.csv" in files["a"]
+
+
+class TestNoiseFloor:
+    """The noisy example2/3 rows stop at DISCREPANCY_TAU times the truth's J on their data."""
+
+    @pytest.mark.parametrize("kind, stop", [("example2", 9), ("example3", 5)])
+    def test_noisy_row_stops_at_the_noise_floor(self, kind, stop):
+        config = ExperimentConfig(kind=kind, target_h=0.3)
+        bundle = run_experiment(config)
+        clean, noisy = bundle.report["table"]
+        eps, rho = EXAMPLE23_SETTINGS[1]
+        # the truth on the inversion mesh against the row's noisy data and rho
+        mesh, data_mesh = build_meshes(config)
+        truth = bundle.fields["truth"]
+        measurements = make_measurements(config, mesh, data_mesh, truth, NoiseSpec(eps, config.seed + 1))
+        floor = kohn_vogelius(truth, mesh, measurements, rho)[0]
+        assert noisy["noise_floor_j"] == floor
+        assert (noisy["iterations"], noisy["reason"], noisy["converged"]) == (stop, "noise floor reached", False)
+        j_history = bundle.runs[f"eps{eps}_rho{rho}"].j_history
+        assert [j <= DISCREPANCY_TAU * floor for j in j_history] == [False] * stop + [True]
+        assert noisy["final_j"] == j_history[-1]
+        assert clean["noise_floor_j"] is None
+        assert (clean["iterations"], clean["reason"]) == (400, "max iterations reached")
+
+    def test_example1_rows_carry_no_floor(self):
+        rows = run_experiment(ExperimentConfig(kind="example1", target_h=0.3)).report["table"]
+        assert not any("noise_floor_j" in row for row in rows)
+        assert [row["reason"] for row in rows] == [
+            "gradient tolerance reached", "line search failed", "gradient tolerance reached"
+        ]
 
 
 class TestCli:
@@ -481,6 +515,21 @@ class TestCli:
         code = main([kind, "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, initial", [("custom", [2000, 1]), ("example1", [1e7, 1])])
+    def test_initial_outside_the_box_is_config_error(self, tmp_path, capsys, monkeypatch, kind, initial):
+        monkeypatch.setattr(ElasticitySolver, "__init__", lambda *args: pytest.fail("solver built"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"kind": kind, "initial": initial, "target_h": 0.3}))
+        out = tmp_path / "out"
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "admissible box" in capsys.readouterr().err
+
+    def test_initial_on_the_box_edge_is_valid(self):
+        assert ExperimentConfig(kind="custom", initial=(1e3, 1e-3)).initial == (1e3, 1e-3)
+        assert ExperimentConfig(kind="example1", initial=(1e6, 1e-6)).initial == (1e6, 1e-6)
 
     @pytest.mark.parametrize("kind, name", UNREAD)
     def test_field_the_kind_does_not_read_rejected(self, tmp_path, capsys, kind, name):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import weakref
@@ -357,6 +358,91 @@ class TestBfgs:
         param = one_region(medium_mesh)
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             bfgs_minimize(InversionConfig(max_iterations=0), medium_mesh, crime_measurements, param, x0)
+
+
+class TestStopping:
+    """Why a run ends: the noise floor, a projected gradient, or a failed restart."""
+
+    @pytest.fixture
+    def noisy(self, medium_mesh, field_37, loads):
+        return generate_measurements(medium_mesh, field_37, loads, NoiseSpec(0.03, 21))
+
+    def test_noise_floor_stop_is_a_prefix(self, medium_mesh, noisy):
+        param = one_region(medium_mesh)
+        config = InversionConfig(rho=1e-5, max_iterations=60, gradient_tolerance=1e-11)
+        full = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
+        assert full.reason != "noise floor reached" and full.iterations > 6
+        target = full.j_history[5]
+        stopped = bfgs_minimize(dataclasses.replace(config, target_j=target), medium_mesh, noisy, param, np.array([1.0, 1.0]))
+        assert stopped.reason == "noise floor reached" and not stopped.converged
+        # the first iterate at or below the target ends the run; nothing else changes
+        first = next(i for i, j in enumerate(full.j_history) if j <= target)
+        assert stopped.j_history == full.j_history[: first + 1]
+        assert stopped.step_history == full.step_history[:first]
+
+    def test_noise_floor_at_the_start(self, medium_mesh, noisy):
+        param = one_region(medium_mesh)
+        config = InversionConfig(max_iterations=60, target_j=math.inf)
+        run = bfgs_minimize(config, medium_mesh, noisy, param, np.array([1.0, 1.0]))
+        assert (run.iterations, run.reason, run.converged) == (0, "noise floor reached", False)
+
+    def test_projected_gradient_stops_at_an_active_bound(self, medium_mesh, crime_measurements):
+        # the truth (3, 7) lies beyond the corner (4, 5) of the box, where J's
+        # gradient points out of the box in both coordinates
+        param = RegionParameterization(np.zeros(medium_mesh.n_elements, dtype=int), bounds=(0.5, 4.0, 0.5, 5.0))
+        config = InversionConfig(max_iterations=50, gradient_tolerance=1e-10)
+        run = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+        assert (run.reason, run.converged) == ("gradient tolerance reached", True)
+        assert (run.final_field.lam[0], run.final_field.mu[0]) == (4.0, 5.0)
+        assert run.grad_history[-1] == 0.0
+        g = param.reduce_gradient(*kv_gradient(run.final_field, medium_mesh, crime_measurements))
+        assert np.all(g < -1e-3)
+
+    def test_stale_direction_restarts_from_steepest_descent(self, medium_mesh, crime_measurements, monkeypatch):
+        param = one_region(medium_mesh)
+        config = InversionConfig(max_iterations=6, gradient_tolerance=1e-13)
+        # with a curvature pair stored, the direction is too short to move x,
+        # so its line search finds no Armijo step
+        monkeypatch.setattr(inversion._LBfgsDirection, "apply", lambda self, g: 1e-300 * g if self.s else g.copy())
+        restarted = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+        monkeypatch.setattr(inversion, "LBFGS_MEMORY", 0)
+        steepest = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+        assert (restarted.iterations, restarted.reason) == (6, "max iterations reached")
+        assert restarted.j_history == steepest.j_history
+
+    @pytest.mark.parametrize("accepted", [0, 1], ids=["first-step", "after-a-step"])
+    def test_line_search_fails_after_the_steepest_descent_retry(
+        self, medium_mesh, crime_measurements, monkeypatch, accepted
+    ):
+        param = one_region(medium_mesh)
+        x0 = np.array([1.0, 1.0])
+        calls, memories, limit = [], [], [math.inf]
+        evaluate, init = inversion.kohn_vogelius, inversion._LBfgsDirection.__init__
+
+        def capped_evaluate(*args):
+            calls.append(None)
+            j, g_lam, g_mu = evaluate(*args)
+            return (j if len(calls) <= limit[0] else math.inf), g_lam, g_mu
+
+        def counting_init(self):
+            memories.append(len(calls))
+            init(self)
+
+        monkeypatch.setattr(inversion, "kohn_vogelius", capped_evaluate)
+        # after the evaluations of the first `accepted` steps, J rejects every trial point
+        bfgs_minimize(InversionConfig(max_iterations=accepted), medium_mesh, crime_measurements, param, x0)
+        limit[0] = len(calls)
+        calls.clear()
+        monkeypatch.setattr(inversion._LBfgsDirection, "__init__", counting_init)
+        run = bfgs_minimize(InversionConfig(max_iterations=10), medium_mesh, crime_measurements, param, x0)
+        assert (run.iterations, run.reason) == (accepted, "line search failed")
+        if accepted:
+            # the L-BFGS search failed, the memory was dropped, and the
+            # steepest-descent retry evaluated trial points of its own
+            assert len(memories) == 2 and memories[1] < len(calls)
+        else:
+            # the first direction is steepest descent already: no retry
+            assert len(memories) == 1 and len(calls) <= 1 + inversion.MAX_BACKTRACKS
 
 
 class TestTraceTransfer:

@@ -74,6 +74,25 @@ def test_factorizations_match_evaluations(tracing):
     assert metrics["fem.factorizations"]["value"] == 2 * evaluations + len(rows)
 
 
+def test_noisy_row_stops_before_the_cap(tracing):
+    """The noise-floor evaluation is counted: each of its factorizations shows."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        bundle = experiments.run_experiment(ExperimentConfig(kind="example2", target_h=0.3, max_iterations=40))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    clean, noisy = bundle.report["table"]
+    assert metrics["inversion.iterations"]["value"] == clean["iterations"] + noisy["iterations"]
+    assert clean["iterations"] == 40 and noisy["iterations"] < 40
+    assert noisy["reason"] == "noise floor reached"
+    evaluations = metrics["inversion.evaluations"]["value"]
+    assert metrics["fem.factorizations"]["value"] == 2 * evaluations + 2
+
+
 def test_ntd_hat_load_solves_are_counted(tracing):
     config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
     m = len(build_mesh(config, config.target_h).neumann_nodes)

@@ -62,7 +62,7 @@ class ExperimentConfig:
     data_mesh: str = "same"  # "same" | "refine"
     max_iterations: int = 400
     gradient_tolerance: float = 1e-11
-    # None resolves to the per-kind default, DEFAULT_INITIAL or (1, 1)
+    # None resolves to the kind's entry in RECONSTRUCTIONS, or (1, 1)
     initial: tuple[float, float] | None = None
     n_pairs: int = 20
     schema_version: int = SCHEMA_VERSION
@@ -74,7 +74,8 @@ class ExperimentConfig:
             f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
             for f in dataclasses.fields(self)
         }
-        defaults["initial"] = DEFAULT_INITIAL.get(self.kind, (1.0, 1.0))
+        recon = RECONSTRUCTIONS.get(self.kind)
+        defaults["initial"] = recon.initial if recon else (1.0, 1.0)
         if self.initial is None:
             self.initial = defaults["initial"]
         if self.data_mesh not in ("same", "refine"):
@@ -88,23 +89,21 @@ class ExperimentConfig:
             self.dirichlet_arc = tuple(self.dirichlet_arc)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
+        # strings, booleans and infinities, which the library would take; it checks the ranges
         for name in ("noise", "rho", "gradient_tolerance"):
             if _float_array(getattr(self, name), name).shape != ():
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (0.0 <= self.noise < 1.0):
-            raise ConfigError(f"noise must lie in [0, 1), got {self.noise!r}")
-        if not (0.0 <= self.rho < math.inf):
-            raise ConfigError(f"rho must be finite and nonnegative, got {self.rho!r}")
+        try:
+            inv.InversionConfig(self.rho, self.max_iterations, self.gradient_tolerance)
+            inv.NoiseSpec(self.noise)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # `type(...) is int`, since bool is an int too and JSON's true and
         # false are no counts
         if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (type(self.n_pairs) is int and self.n_pairs >= 1):
             raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
-        if not (type(self.max_iterations) is int and self.max_iterations >= 0):
-            raise ConfigError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
-        if not self.gradient_tolerance > 0.0:
-            raise ConfigError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
         initial = _float_array(self.initial, "initial")
         if initial.shape != (2,) or not np.all(initial > 0.0):
             raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
@@ -120,10 +119,10 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.kind} does not read {', '.join(unread)}; leave unread fields at their defaults")
-        # the box the kind's optimizer keeps to; example1 fits two constants
-        a, b, c, d = DEFAULT_BOUNDS if self.kind == "example1" else PER_ELEMENT_BOUNDS
-        if not (a <= initial[0] <= b and c <= initial[1] <= d):
-            raise ConfigError(f"initial must lie in the admissible box {(a, b, c, d)}, got {self.initial!r}")
+        if recon:
+            a, b, c, d = recon.bounds
+            if not (a <= initial[0] <= b and c <= initial[1] <= d):
+                raise ConfigError(f"initial must lie in the admissible box {(a, b, c, d)}, got {self.initial!r}")
 
     def to_dict(self) -> dict:
         # tuples are written as JSON arrays, and __post_init__ turns them back
@@ -253,10 +252,8 @@ class ResultBundle:
 # -- shared pipeline pieces ------------------------------------------------
 
 
-# clamped lower half-circle by default; example3 clamps only the upper-left
-# quarter so the measured boundary covers both bump directions
+# the clamped lower half-circle, unless the kind's RECONSTRUCTIONS entry gives another
 DEFAULT_ARC = (math.pi, 2.0 * math.pi)
-EXAMPLE3_ARC = (math.pi / 2.0, math.pi)
 
 
 def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:
@@ -264,9 +261,8 @@ def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:
 
     Runs in one process with the same (target_h, arc) share the Mesh and so its Discretization.
     """
-    arc = config.dirichlet_arc
-    if arc is None:
-        arc = EXAMPLE3_ARC if config.kind == "example3" else DEFAULT_ARC
+    recon = RECONSTRUCTIONS.get(config.kind)
+    arc = config.dirichlet_arc or (recon.arc if recon else DEFAULT_ARC)
     return _partitioned_mesh(target_h, tuple(arc))
 
 
@@ -286,126 +282,14 @@ def build_meshes(config: ExperimentConfig) -> tuple[Mesh, Mesh]:
 
 def make_measurements(
     config: ExperimentConfig, mesh: Mesh, data_mesh: Mesh, truth: LameField, noise: inv.NoiseSpec
-) -> inv.MeasurementSet:
-    """The config's loads measured on data_mesh for truth, moved to mesh."""
+) -> tuple[inv.MeasurementSet, inv.MeasurementSet]:
+    """The config's loads measured on data_mesh for truth, and the same data moved to mesh."""
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     measured = inv.generate_measurements(data_mesh, truth, loads, noise)
     if data_mesh is mesh:
-        return measured
-    pairs = [
-        (g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs
-    ]
-    return inv.MeasurementSet(pairs)
-
-
-def _reconstruct(
-    config: ExperimentConfig,
-    mesh: Mesh,
-    measurements: inv.MeasurementSet,
-    parameterization: RegionParameterization,
-    rho: float,
-    target_j: float | None = None,
-) -> inv.InversionRun:
-    opt = inv.InversionConfig(
-        rho=rho,
-        max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-        target_j=target_j,
-    )
-    x0 = np.repeat(config.initial, parameterization.n_regions)
-    return inv.bfgs_minimize(opt, mesh, measurements, parameterization, x0)
-
-
-# -- experiment runners ----------------------------------------------------
-
-EXAMPLE1_SETTINGS = [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)]
-EXAMPLE23_SETTINGS = [(0.0, 0.0), (0.03, 1e-4)]
-# admissible box of the per-element unknowns, enforced by projection
-PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
-# a noisy example2/3 run stops at J <= DISCREPANCY_TAU * J(truth), Morozov's
-# discrepancy principle; example1's two constants are well posed and need no stop
-DISCREPANCY_TAU = 1.5
-
-
-def run_example1(config: ExperimentConfig) -> ResultBundle:
-    """Recover constant (lam, mu) = (3, 7) from four loads, with noise rows."""
-    mesh, data_mesh = build_meshes(config)
-    exact = (3.0, 7.0)
-    truth = LameField.constant(*exact, data_mesh.n_elements)
-    param = RegionParameterization(np.zeros(mesh.n_elements, dtype=int))
-    rows = []
-    bundle = ResultBundle(config, {})
-    for i, (eps, rho) in enumerate(EXAMPLE1_SETTINGS):
-        noise = inv.NoiseSpec(eps, config.seed + i)
-        measurements = make_measurements(config, mesh, data_mesh, truth, noise)
-        run = _reconstruct(config, mesh, measurements, param, rho)
-        lam_c, mu_c = run.final_field.lam[0], run.final_field.mu[0]
-        rows.append(
-            {
-                "epsilon": eps,
-                "rho": rho,
-                "initial": list(config.initial),
-                "computed": [lam_c, mu_c],
-                "exact": list(exact),
-                "rel_error_lam": abs(lam_c - exact[0]) / exact[0],
-                "rel_error_mu": abs(mu_c - exact[1]) / exact[1],
-                "iterations": run.iterations,
-                "converged": run.converged,
-                "reason": run.reason,
-            }
-        )
-        key = f"eps{eps}_rho{rho}"
-        bundle.runs[key] = run
-        bundle.fields[key] = run.final_field
-    bundle.report = {"kind": "example1", "table": rows}
-    return bundle
-
-
-def _run_per_element_example(
-    config: ExperimentConfig, truth_spec: dict, settings: list[tuple[float, float]], discrepancy: bool = True
-) -> tuple[ResultBundle, Mesh]:
-    """One per-element reconstruction per (noise, rho) setting; the bundle and its mesh.
-
-    With discrepancy, a noisy run stops at the noise floor: the truth's J on its data and rho.
-    """
-    mesh, data_mesh = build_meshes(config)
-    truth_data = truth_field(truth_spec, data_mesh)
-    truth_inv = truth_field(truth_spec, mesh)
-    param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
-    bundle = ResultBundle(config, {})
-    bundle.fields["truth"] = truth_inv
-    rows = []
-    for i, (eps, rho) in enumerate(settings):
-        noise = inv.NoiseSpec(eps, config.seed + i)
-        measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
-        floor = inv.kohn_vogelius(truth_inv, mesh, measurements, rho)[0] if discrepancy and eps > 0 else None
-        target = None if floor is None else DISCREPANCY_TAU * floor
-        run = _reconstruct(config, mesh, measurements, param, rho, target)
-        rec = run.final_field
-        rows.append(
-            {
-                "epsilon": eps,
-                "rho": rho,
-                "initial_j": run.j_history[0],
-                "final_j": run.j_history[-1],
-                "iterations": run.iterations,
-                "converged": run.converged,
-                "reason": run.reason,
-                "noise_floor_j": floor,
-                "rel_l2_error_lam": relative_l2_error(mesh, rec.lam, truth_inv.lam),
-                "rel_l2_error_mu": relative_l2_error(mesh, rec.mu, truth_inv.mu),
-            }
-        )
-        key = f"eps{eps}_rho{rho}"
-        bundle.runs[key] = run
-        bundle.fields[key] = rec
-    bundle.report = {"kind": config.kind, "table": rows}
-    return bundle, mesh
-
-
-def run_example2(config: ExperimentConfig) -> ResultBundle:
-    """Per-element reconstruction of a radial shear modulus and constant lam."""
-    return _run_per_element_example(config, {"type": "radial-mu", "lam": 1.0}, EXAMPLE23_SETTINGS)[0]
+        return measured, measured
+    pairs = [(g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs]
+    return measured, inv.MeasurementSet(pairs)
 
 
 def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
@@ -429,13 +313,110 @@ def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
     return out
 
 
-def run_example3(config: ExperimentConfig) -> ResultBundle:
-    """Radial shear modulus plus a two-bump lam field; localizes the bumps."""
-    bundle, mesh = _run_per_element_example(config, {"type": "gaussian-bumps-lambda"}, EXAMPLE23_SETTINGS)
-    bundle.report["truth_bump_centroids"] = bump_centroids(mesh, bundle.fields["truth"].lam)
-    for row, (eps, rho) in zip(bundle.report["table"], EXAMPLE23_SETTINGS):
-        rec = bundle.fields[f"eps{eps}_rho{rho}"]
-        row["bump_centroids"] = bump_centroids(mesh, rec.lam)
+# -- experiment runners ----------------------------------------------------
+
+# admissible box of the per-element unknowns, enforced by projection
+PER_ELEMENT_BOUNDS = (1e-3, 1e3, 1e-3, 1e3)
+# a noisy row with a noise floor stops at J <= DISCREPANCY_TAU * J(truth),
+# Morozov's discrepancy principle
+DISCREPANCY_TAU = 1.5
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    """What a reconstruction kind fits, to which data, and what its rows report.
+
+    truth is a truth spec, or None for the config's.  per_element fits one
+    region per element in PER_ELEMENT_BOUNDS, else one constant pair in
+    DEFAULT_BOUNDS.  settings are the (noise, rho) rows, or None for the
+    config's one row.  With noise_floor, each noisy row stops at
+    DISCREPANCY_TAU times the truth's J on its data.  bump_centroids adds
+    bump_centroids to the report and rows; arc and initial are the kind's
+    defaults for dirichlet_arc and initial.
+    """
+
+    truth: dict | None
+    per_element: bool = True
+    settings: tuple[tuple[float, float], ...] | None = ((0.0, 0.0), (0.03, 1e-4))
+    noise_floor: bool = False
+    bump_centroids: bool = False
+    arc: tuple[float, float] = DEFAULT_ARC
+    initial: tuple[float, float] = (1.0, 1.0)
+
+    @property
+    def bounds(self) -> tuple[float, float, float, float]:
+        return PER_ELEMENT_BOUNDS if self.per_element else DEFAULT_BOUNDS
+
+
+RECONSTRUCTIONS = {
+    # two constants are well posed: no noise floor, which raised their error
+    "example1": Reconstruction(
+        {"type": "constant", "lam": 3.0, "mu": 7.0},
+        per_element=False,
+        settings=((0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)),
+    ),
+    "example2": Reconstruction({"type": "radial-mu", "lam": 1.0}, noise_floor=True, initial=(0.3, 0.5)),
+    # the clamped upper-left quarter leaves both bump directions measured
+    "example3": Reconstruction(
+        {"type": "gaussian-bumps-lambda"},
+        noise_floor=True,
+        bump_centroids=True,
+        arc=(math.pi / 2.0, math.pi),
+        initial=(0.3, 0.5),
+    ),
+    # the noise floor needs the truth, which real data does not give
+    "custom": Reconstruction(None, settings=None),
+}
+
+
+def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
+    """One reconstruction per (noise, rho) row of the config's kind in RECONSTRUCTIONS."""
+    recon = RECONSTRUCTIONS[config.kind]
+    spec = recon.truth or config.truth
+    mesh, data_mesh = build_meshes(config)
+    truth_data = truth_field(spec, data_mesh)
+    truth = truth_field(spec, mesh)
+    regions = np.arange(mesh.n_elements) if recon.per_element else np.zeros(mesh.n_elements, dtype=int)
+    param = RegionParameterization(regions, recon.bounds)
+    x0 = np.repeat(config.initial, param.n_regions)
+    bundle = ResultBundle(config, {"kind": config.kind, "table": []})
+    if recon.per_element:
+        bundle.fields["truth"] = truth
+    if recon.bump_centroids:
+        bundle.report["truth_bump_centroids"] = bump_centroids(mesh, truth.lam)
+    for i, (eps, rho) in enumerate(recon.settings or [(config.noise, config.rho)]):
+        noise = inv.NoiseSpec(eps, config.seed + i)
+        measured, measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
+        # the truth's J on the data mesh, where the noisy data were measured
+        floor = inv.kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if recon.noise_floor and eps > 0 else None
+        target = None if floor is None else DISCREPANCY_TAU * floor
+        opt = inv.InversionConfig(rho, config.max_iterations, config.gradient_tolerance, target)
+        run = inv.bfgs_minimize(opt, mesh, measurements, param, x0)
+        rec = run.final_field
+        row = {"epsilon": eps, "rho": rho, "iterations": run.iterations, "converged": run.converged, "reason": run.reason}
+        if recon.per_element:
+            row.update(
+                initial_j=run.j_history[0],
+                final_j=run.j_history[-1],
+                noise_floor_j=floor,
+                rel_l2_error_lam=relative_l2_error(mesh, rec.lam, truth.lam),
+                rel_l2_error_mu=relative_l2_error(mesh, rec.mu, truth.mu),
+            )
+        else:
+            computed, exact = [rec.lam[0], rec.mu[0]], [truth.lam[0], truth.mu[0]]
+            row.update(
+                initial=list(config.initial),
+                computed=computed,
+                exact=exact,
+                rel_error_lam=abs(computed[0] - exact[0]) / exact[0],
+                rel_error_mu=abs(computed[1] - exact[1]) / exact[1],
+            )
+        if recon.bump_centroids:
+            row["bump_centroids"] = bump_centroids(mesh, rec.lam)
+        bundle.report["table"].append(row)
+        key = f"eps{eps}_rho{rho}"
+        bundle.runs[key] = run
+        bundle.fields[key] = rec
     return bundle
 
 
@@ -504,20 +485,11 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
     return bundle
 
 
-def run_custom(config: ExperimentConfig) -> ResultBundle:
-    """Per-element reconstruction of the configured truth at the configured noise and rho."""
-    # the noise floor needs the truth, which real data does not give
-    return _run_per_element_example(config, config.truth, [(config.noise, config.rho)], discrepancy=False)[0]
-
-
 RUNNERS = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "example3": run_example3,
+    **dict.fromkeys(RECONSTRUCTIONS, run_reconstruction),
     "monotonicity": run_monotonicity,
     "stability": run_stability,
     "forward": run_forward,
-    "custom": run_custom,
 }
 # the config fields each runner reads.  Every kind takes the mesh, the schema
 # and a seed (forward draws nothing, but accepts one); any other field that a
@@ -533,9 +505,6 @@ READS = {
     "forward": (*COMMON, "truth", "loads"),
     "custom": (*RECONSTRUCTION, "initial", "truth", "noise", "rho"),
 }
-# `initial` where a config leaves it unset: the per-element examples do not
-# read it and start every run from their own guess; other kinds use (1, 1)
-DEFAULT_INITIAL = {"example2": (0.3, 0.5), "example3": (0.3, 0.5)}
 
 
 def run_experiment(config: ExperimentConfig) -> ResultBundle:

@@ -48,7 +48,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
+            raise ValueError(f"noise epsilon must lie in [0, 1), got {self.epsilon!r}")
 
 
 def add_noise(f: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -186,7 +186,7 @@ class InversionConfig:
         if not (type(self.max_iterations) is int and self.max_iterations >= 0):  # not a bool
             raise ValueError(f"max_iterations must be a nonnegative integer, got {self.max_iterations!r}")
         if not self.gradient_tolerance > 0.0:
-            raise ValueError(f"gradient tolerance must be positive, got {self.gradient_tolerance!r}")
+            raise ValueError(f"gradient_tolerance must be positive, got {self.gradient_tolerance!r}")
 
 
 @dataclass

@@ -15,9 +15,6 @@ import pytest
 from elastinv.experiments import (
     ExperimentConfig,
     bump_centroids,
-    run_example1,
-    run_example2,
-    run_example3,
     run_experiment,
 )
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad, load_coefficients
@@ -61,7 +58,7 @@ def _random_field(mesh, rng):
 
 def test_criterion_1_constant_recovery_noise_free():
     start = time.monotonic()
-    bundle = run_example1(ExperimentConfig(kind="example1"))
+    bundle = run_experiment(ExperimentConfig(kind="example1"))
     elapsed = time.monotonic() - start
     row = bundle.report["table"][0]
     assert row["epsilon"] == 0.0 and row["rho"] == 0.0
@@ -78,7 +75,7 @@ def test_criterion_1_constant_recovery_noise_free():
 def test_criterion_2_constant_recovery_noise_bands():
     worst_lam, worst_mu = 0.0, 0.0
     for seed in range(1, 6):
-        bundle = run_example1(ExperimentConfig(kind="example1", seed=seed))
+        bundle = run_experiment(ExperimentConfig(kind="example1", seed=seed))
         for row in bundle.report["table"][1:]:  # the two noisy settings
             worst_lam = max(worst_lam, row["rel_error_lam"])
             worst_mu = max(worst_mu, row["rel_error_mu"])
@@ -220,8 +217,8 @@ def test_criterion_8_stability_ratios(op_mesh):
 
 def test_criterion_9_per_element_examples():
     start = time.monotonic()
-    b2 = run_example2(ExperimentConfig(kind="example2"))
-    b3 = run_example3(ExperimentConfig(kind="example3"))
+    b2 = run_experiment(ExperimentConfig(kind="example2"))
+    b3 = run_experiment(ExperimentConfig(kind="example3"))
     elapsed = time.monotonic() - start
     row2 = b2.report["table"][0]
     row3 = b3.report["table"][0]

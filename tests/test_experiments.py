@@ -13,12 +13,10 @@ import pytest
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     DISCREPANCY_TAU,
-    EXAMPLE23_SETTINGS,
     PER_ELEMENT_BOUNDS,
     READS,
     ConfigError,
     ExperimentConfig,
-    _reconstruct,
     bump_centroids,
     build_mesh,
     build_meshes,
@@ -27,8 +25,16 @@ from elastinv.experiments import (
     run_experiment,
     truth_field,
 )
-from elastinv.fem import ElasticitySolver, RegionParameterization
-from elastinv.inversion import NoiseSpec, kohn_vogelius
+from elastinv.fem import DEFAULT_BOUNDS, ElasticitySolver, RegionParameterization, SurfaceLoad
+from elastinv.inversion import (
+    InversionConfig,
+    MeasurementSet,
+    NoiseSpec,
+    bfgs_minimize,
+    generate_measurements,
+    kohn_vogelius,
+    transfer_trace,
+)
 from elastinv.mesh import generate_disk_mesh
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -137,6 +143,21 @@ class TestConfig:
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"kind": "custom", "noise": 1.0}, "noise"),
+            ({"kind": "custom", "rho": -1e-4}, "rho"),
+            ({"max_iterations": -1}, "max_iterations"),
+            ({"max_iterations": 2.0}, "max_iterations"),
+            ({"gradient_tolerance": 0.0}, "gradient_tolerance"),
+        ],
+    )
+    def test_range_errors_name_the_config_field(self, bad, name):
+        # the ranges are the library's checks, re-raised in the config's terms
+        with pytest.raises(ConfigError, match=rf"^{name}\b"):
             ExperimentConfig(**bad)
 
     @pytest.mark.parametrize(
@@ -337,27 +358,104 @@ class TestBundles:
         # no truth-free noise floor exists, so a noisy custom run has no such stop
         assert row["noise_floor_j"] is None
 
-        # the same measurements and optimizer run, made directly
-        mesh, data_mesh = build_meshes(config)
-        truth = truth_field(config.truth, mesh)
-        noise = NoiseSpec(config.noise, config.seed)
-        measurements = make_measurements(config, mesh, data_mesh, truth, noise)
-        param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
-        run = _reconstruct(config, mesh, measurements, param, config.rho)
-        assert row["initial_j"] == run.j_history[0]
-        assert row["final_j"] == run.j_history[-1]
-        assert (row["iterations"], row["converged"], row["reason"]) == (
-            run.iterations, run.converged, run.reason
-        )
-        assert row["rel_l2_error_lam"] == relative_l2_error(mesh, run.final_field.lam, truth.lam)
-        assert row["rel_l2_error_mu"] == relative_l2_error(mesh, run.final_field.mu, truth.mu)
-
         files = {}
         for sub in ("a", "b"):
             out = run_experiment(config).write(tmp_path / sub)
             files[sub] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert files["a"] == files["b"]
         assert "convergence_eps0.03_rho0.0001.csv" in files["a"]
+
+
+# what the README documents for each reconstruction kind: the truth (None for
+# the config's), one region or one per element, the (noise, rho) rows (None for
+# the config's) and whether noisy rows stop at the noise floor
+DOCUMENTED = {
+    "example1": ({"type": "constant", "lam": 3.0, "mu": 7.0}, False, [(0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)], False),
+    "example2": ({"type": "radial-mu", "lam": 1.0}, True, [(0.0, 0.0), (0.03, 1e-4)], True),
+    "example3": ({"type": "gaussian-bumps-lambda"}, True, [(0.0, 0.0), (0.03, 1e-4)], True),
+    "custom": (None, True, None, False),
+}
+
+
+def library_rows(config: ExperimentConfig) -> list[dict]:
+    """The rows of a reconstruction kind, made from library calls alone."""
+    spec, per_element, settings, stops = DOCUMENTED[config.kind]
+    spec = spec or config.truth
+    mesh, data_mesh = build_meshes(config)
+    truth_data, truth = truth_field(spec, data_mesh), truth_field(spec, mesh)
+    if per_element:
+        param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
+    else:
+        param = RegionParameterization(np.zeros(mesh.n_elements, dtype=int), DEFAULT_BOUNDS)
+    rows = []
+    for i, (eps, rho) in enumerate(settings or [(config.noise, config.rho)]):
+        loads = [SurfaceLoad(constant=g) for g in config.loads]
+        measured = generate_measurements(data_mesh, truth_data, loads, NoiseSpec(eps, config.seed + i))
+        measurements = measured
+        if data_mesh is not mesh:
+            measurements = MeasurementSet([(g, transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs])
+        floor = kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if stops and eps > 0 else None
+        opt = InversionConfig(rho, config.max_iterations, config.gradient_tolerance,
+                              None if floor is None else DISCREPANCY_TAU * floor)
+        run = bfgs_minimize(opt, mesh, measurements, param, np.repeat(config.initial, param.n_regions))
+        rec = run.final_field
+        row = {"epsilon": eps, "rho": rho, "iterations": run.iterations, "converged": run.converged,
+               "reason": run.reason}
+        if per_element:
+            row.update(
+                initial_j=run.j_history[0],
+                final_j=run.j_history[-1],
+                noise_floor_j=floor,
+                rel_l2_error_lam=relative_l2_error(mesh, rec.lam, truth.lam),
+                rel_l2_error_mu=relative_l2_error(mesh, rec.mu, truth.mu),
+            )
+        else:
+            row.update(
+                initial=list(config.initial),
+                computed=[rec.lam[0], rec.mu[0]],
+                exact=[3.0, 7.0],
+                rel_error_lam=abs(rec.lam[0] - 3.0) / 3.0,
+                rel_error_mu=abs(rec.mu[0] - 7.0) / 7.0,
+            )
+        if config.kind == "example3":
+            row["bump_centroids"] = bump_centroids(mesh, rec.lam)
+        rows.append(row)
+    return rows
+
+
+class TestReconstructionRows:
+    """Each reconstruction kind's rows equal those rebuilt from library calls."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(kind="example1", target_h=0.3, seed=2, max_iterations=6),
+            ExperimentConfig(kind="example2", target_h=0.3, seed=2, max_iterations=6),
+            ExperimentConfig(kind="example3", target_h=0.3, seed=2, max_iterations=6),
+            ExperimentConfig(
+                kind="custom", target_h=0.3, noise=0.03, rho=1e-4, seed=4, max_iterations=6,
+                truth={"type": "radial-mu", "lam": 2.0}, initial=(0.5, 0.5),
+            ),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_rows_equal_library_calls(self, config):
+        bundle = run_experiment(config)
+        assert bundle.report["table"] == library_rows(config)
+        assert ("truth_bump_centroids" in bundle.report) == (config.kind == "example3")
+
+    def test_refined_data_floor_is_the_truths_j_on_the_data_mesh(self):
+        config = ExperimentConfig(kind="example2", target_h=0.3, data_mesh="refine", max_iterations=20)
+        rows = run_experiment(config).report["table"]
+        assert rows == library_rows(config)
+        # the floor leaves out the gap between the meshes that the moved data hold
+        spec = {"type": "radial-mu", "lam": 1.0}
+        mesh, data_mesh = build_meshes(config)
+        truth_data = truth_field(spec, data_mesh)
+        measured, moved = make_measurements(config, mesh, data_mesh, truth_data, NoiseSpec(0.03, config.seed + 1))
+        assert rows[1]["noise_floor_j"] == kohn_vogelius(truth_data, data_mesh, measured, 1e-4)[0]
+        assert rows[1]["noise_floor_j"] < kohn_vogelius(truth_field(spec, mesh), mesh, moved, 1e-4)[0]
+        assert rows[1]["reason"] == "noise floor reached"
 
 
 class TestNoiseFloor:
@@ -368,11 +466,11 @@ class TestNoiseFloor:
         config = ExperimentConfig(kind=kind, target_h=0.3)
         bundle = run_experiment(config)
         clean, noisy = bundle.report["table"]
-        eps, rho = EXAMPLE23_SETTINGS[1]
-        # the truth on the inversion mesh against the row's noisy data and rho
+        eps, rho = 0.03, 1e-4
+        # the truth against the row's noisy data and rho, all on the one mesh
         mesh, data_mesh = build_meshes(config)
         truth = bundle.fields["truth"]
-        measurements = make_measurements(config, mesh, data_mesh, truth, NoiseSpec(eps, config.seed + 1))
+        measurements, _ = make_measurements(config, mesh, data_mesh, truth, NoiseSpec(eps, config.seed + 1))
         floor = kohn_vogelius(truth, mesh, measurements, rho)[0]
         assert noisy["noise_floor_j"] == floor
         assert (noisy["iterations"], noisy["reason"], noisy["converged"]) == (stop, "noise floor reached", False)

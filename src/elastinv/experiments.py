@@ -21,8 +21,8 @@ import numpy as np
 
 from . import inversion as inv
 from . import ntd
-from .fem import DEFAULT_BOUNDS, ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients
-from .mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
+from .fem import DEFAULT_BOUNDS, ElasticitySolver, LameField, RegionParameterization, SurfaceLoad
+from .mesh import BoundaryPartitionSpec, Mesh, MeshError, generate_disk_mesh, partition_boundary
 
 SCHEMA_VERSION = 1
 
@@ -62,7 +62,7 @@ class ExperimentConfig:
     data_mesh: str = "same"  # "same" | "refine"
     max_iterations: int = 400
     gradient_tolerance: float = 1e-11
-    # None resolves to the kind's entry in RECONSTRUCTIONS, or (1, 1)
+    # None resolves to the kind's entry in RECONSTRUCTIONS, or (1, 1) where it gives none
     initial: tuple[float, float] | None = None
     n_pairs: int = 20
     schema_version: int = SCHEMA_VERSION
@@ -75,7 +75,7 @@ class ExperimentConfig:
             for f in dataclasses.fields(self)
         }
         recon = RECONSTRUCTIONS.get(self.kind)
-        defaults["initial"] = recon.initial if recon else (1.0, 1.0)
+        defaults["initial"] = recon.initial if recon and recon.initial else (1.0, 1.0)
         if self.initial is None:
             self.initial = defaults["initial"]
         if self.data_mesh not in ("same", "refine"):
@@ -83,10 +83,13 @@ class ExperimentConfig:
         if not (0.0 < self.target_h < 1.0):
             raise ConfigError(f"target_h out of range: {self.target_h!r}")
         if self.dirichlet_arc is not None:
-            # the arc's width is checked by BoundaryPartitionSpec
             if _float_array(self.dirichlet_arc, "dirichlet_arc").shape != (2,):
                 raise ConfigError(f"dirichlet_arc must be two finite numbers, got {self.dirichlet_arc!r}")
             self.dirichlet_arc = tuple(self.dirichlet_arc)
+            try:  # the arc's width is checked by BoundaryPartitionSpec
+                BoundaryPartitionSpec(*self.dirichlet_arc)
+            except MeshError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         # strings, booleans and infinities, which the library would take; it checks the ranges
@@ -119,6 +122,8 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.kind} does not read {', '.join(unread)}; leave unread fields at their defaults")
+        if self.data_mesh == "refine" and self.truth.get("type") == "file":
+            raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
         if recon:
             a, b, c, d = recon.bounds
             if not (a <= initial[0] <= b and c <= initial[1] <= d):
@@ -326,22 +331,20 @@ DISCREPANCY_TAU = 1.5
 class Reconstruction:
     """What a reconstruction kind fits, to which data, and what its rows report.
 
-    truth is a truth spec, or None for the config's.  per_element fits one
-    region per element in PER_ELEMENT_BOUNDS, else one constant pair in
-    DEFAULT_BOUNDS.  settings are the (noise, rho) rows, or None for the
-    config's one row.  With noise_floor, each noisy row stops at
-    DISCREPANCY_TAU times the truth's J on its data.  bump_centroids adds
-    bump_centroids to the report and rows; arc and initial are the kind's
-    defaults for dirichlet_arc and initial.
+    truth is a truth spec, settings the (noise, rho) rows and initial the
+    start; None takes the config's truth, its one (noise, rho) row or its
+    initial, and so makes the kind read those fields (READS).  per_element
+    fits one region per element in PER_ELEMENT_BOUNDS, else one constant
+    pair in DEFAULT_BOUNDS.  bump_centroids adds bump_centroids to the
+    report and rows; arc is the kind's default dirichlet_arc.
     """
 
     truth: dict | None
     per_element: bool = True
     settings: tuple[tuple[float, float], ...] | None = ((0.0, 0.0), (0.03, 1e-4))
-    noise_floor: bool = False
     bump_centroids: bool = False
     arc: tuple[float, float] = DEFAULT_ARC
-    initial: tuple[float, float] = (1.0, 1.0)
+    initial: tuple[float, float] | None = None
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -349,22 +352,19 @@ class Reconstruction:
 
 
 RECONSTRUCTIONS = {
-    # two constants are well posed: no noise floor, which raised their error
     "example1": Reconstruction(
         {"type": "constant", "lam": 3.0, "mu": 7.0},
         per_element=False,
         settings=((0.0, 0.0), (0.03, 1e-5), (0.05, 1e-5)),
     ),
-    "example2": Reconstruction({"type": "radial-mu", "lam": 1.0}, noise_floor=True, initial=(0.3, 0.5)),
+    "example2": Reconstruction({"type": "radial-mu", "lam": 1.0}, initial=(0.3, 0.5)),
     # the clamped upper-left quarter leaves both bump directions measured
     "example3": Reconstruction(
         {"type": "gaussian-bumps-lambda"},
-        noise_floor=True,
         bump_centroids=True,
         arc=(math.pi / 2.0, math.pi),
         initial=(0.3, 0.5),
     ),
-    # the noise floor needs the truth, which real data does not give
     "custom": Reconstruction(None, settings=None),
 }
 
@@ -379,6 +379,9 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
     regions = np.arange(mesh.n_elements) if recon.per_element else np.zeros(mesh.n_elements, dtype=int)
     param = RegionParameterization(regions, recon.bounds)
     x0 = np.repeat(config.initial, param.n_regions)
+    # a noisy row stops at the noise floor if the fit is per element (two constants are well
+    # posed, and the stop raised their error) and the truth is the kind's (real data have none)
+    noise_floor = recon.per_element and recon.truth is not None
     bundle = ResultBundle(config, {"kind": config.kind, "table": []})
     if recon.per_element:
         bundle.fields["truth"] = truth
@@ -388,7 +391,7 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
         noise = inv.NoiseSpec(eps, config.seed + i)
         measured, measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
         # the truth's J on the data mesh, where the noisy data were measured
-        floor = inv.kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if recon.noise_floor and eps > 0 else None
+        floor = inv.kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if noise_floor and eps > 0 else None
         target = None if floor is None else DISCREPANCY_TAU * floor
         opt = inv.InversionConfig(rho, config.max_iterations, config.gradient_tolerance, target)
         run = inv.bfgs_minimize(opt, mesh, measurements, param, x0)
@@ -464,15 +467,11 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
     """Solve the forward problem for the configured truth and export traces."""
     mesh = build_mesh(config, config.target_h)
     truth = truth_field(config.truth, mesh)
-    solver = ElasticitySolver(mesh, truth)
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
-    T = solver.solve_neumann(load_coefficients(mesh, loads))[solver.disc.trace_dofs]
-    traces = {}
-    for k, g in enumerate(config.loads):
-        traces[f"load_{k}"] = {
-            "load": list(g),
-            "trace": [[float(a), float(b)] for a, b in T[:, k].reshape(-1, 2)],
-        }
+    traces = {
+        f"load_{k}": {"load": list(g.constant), "trace": [[float(a), float(b)] for a, b in f]}
+        for k, (g, f) in enumerate(inv.generate_measurements(mesh, truth, loads).pairs)
+    }
     report = {
         "kind": "forward",
         "n_nodes": mesh.n_nodes,
@@ -493,17 +492,20 @@ RUNNERS = {
 }
 # the config fields each runner reads.  Every kind takes the mesh, the schema
 # and a seed (forward draws nothing, but accepts one); any other field that a
-# kind does not read must keep its default, or the config is rejected
+# kind does not read must keep its default, or the config is rejected.  A
+# reconstruction kind reads the fields its entry leaves to the config (None)
 COMMON = ("kind", "schema_version", "target_h", "dirichlet_arc", "seed")
 RECONSTRUCTION = (*COMMON, "loads", "data_mesh", "max_iterations", "gradient_tolerance")
+LEFT_TO_CONFIG = {"initial": ("initial",), "truth": ("truth",), "settings": ("noise", "rho")}
 READS = {
-    "example1": (*RECONSTRUCTION, "initial"),
-    "example2": RECONSTRUCTION,
-    "example3": RECONSTRUCTION,
+    **{
+        kind: RECONSTRUCTION
+        + tuple(name for entry, names in LEFT_TO_CONFIG.items() if getattr(recon, entry) is None for name in names)
+        for kind, recon in RECONSTRUCTIONS.items()
+    },
     "monotonicity": (*COMMON, "loads", "n_pairs"),
     "stability": (*COMMON, "n_pairs"),
     "forward": (*COMMON, "truth", "loads"),
-    "custom": (*RECONSTRUCTION, "initial", "truth", "noise", "rho"),
 }
 
 

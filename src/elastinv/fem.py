@@ -253,10 +253,10 @@ def discretization(mesh: Mesh) -> Discretization:
     return disc
 
 
-def strain_energy_density(field: LameField, strain: np.ndarray, div: np.ndarray) -> np.ndarray:
+def strain_energy_density(lam: np.ndarray, mu: np.ndarray, strain: np.ndarray, div: np.ndarray) -> np.ndarray:
     """Per-element energy densities (k, n_el) lam*div^2 + 2*mu*strain:strain of a k-column block."""
     ss = np.einsum("keij,keij->ke", strain, strain)
-    return field.lam * div**2 + 2.0 * field.mu * ss
+    return lam * div**2 + 2.0 * mu * ss
 
 
 def _fill_reducing_order(graph: sp.csr_matrix) -> np.ndarray:
@@ -429,20 +429,48 @@ def _factor_spd(K: sp.csr_matrix):
     return spla.splu(K.T, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _inf_norm(K: sp.csr_matrix) -> float:
-    """|K|_inf, the largest row sum of |K|; every row of a stiffness block holds its diagonal."""
-    return float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max())
+class SpdBlock:
+    """A symmetric positive definite stiffness block K, its factor and |K|_inf,
+    both built on first use and reused by every block of right-hand sides."""
+
+    def __init__(self, K: sp.csr_matrix):
+        self.K = K
+
+    @cached_property
+    def factor(self):
+        return _factor_spd(self.K)
+
+    @cached_property
+    def norm(self) -> float:
+        """|K|_inf, the largest row sum of |K|; every row of a stiffness block holds its diagonal."""
+        return float(np.add.reduceat(np.abs(self.K.data), self.K.indptr[:-1]).max())
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """K^-1 B, each column within BACKWARD_ERROR_TOL, or FemError."""
+        # the factorization alone solves to rounding level, so only a block
+        # with a column past the tolerance takes one refinement step, and is
+        # then judged again
+        X = self.factor.solve(B)
+        R = B - self.K @ X
+        eta = _backward_errors(self.norm, X, B, R)
+        if not np.all(eta <= BACKWARD_ERROR_TOL):
+            X += self.factor.solve(R)
+            eta = _backward_errors(self.norm, X, B, B - self.K @ X)
+        bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise FemError(f"linear solve failed, backward error {eta[j]:.3e} in column {j}")
+        return X
 
 
 class ElasticitySolver:
     """Traction and prescribed-trace solves sharing one stiffness per field.
 
     The element matrices are computed once per field.  On first use they are
-    scattered into the free block, the interior blocks are gathered from its
-    data, and each block is factored.  Every solve takes a block of
-    right-hand sides, one column per load or trace, against one
-    factorization per boundary partition.  Factorizations are reused across
-    blocks; they are immutable once constructed.
+    scattered into the free block, which traction solves factor, and the
+    interior blocks, which prescribed-trace solves need, are gathered from
+    its data.  Every solve takes a block of right-hand sides, one column per
+    load or trace.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
@@ -453,51 +481,17 @@ class ElasticitySolver:
         self._ke = element_stiffness(self.disc, field).ravel()
 
     @cached_property
-    def K_free(self) -> sp.csr_matrix:
-        return self.disc.free_pattern.assemble(self._ke)
+    def free(self) -> SpdBlock:
+        return SpdBlock(self.disc.free_pattern.assemble(self._ke))
 
     @cached_property
-    def K_interior(self) -> sp.csr_matrix:
-        return self.disc.interior_pattern.matrix(self.K_free.data[self.disc.interior_pattern.source])
+    def interior(self) -> SpdBlock:
+        return SpdBlock(self.disc.interior_pattern.matrix(self.free.K.data[self.disc.interior_pattern.source]))
 
     @cached_property
     def K_it(self) -> sp.csr_matrix:
         """Coupling of interior rows to disc.trace_dofs columns."""
-        return self.disc.coupling_pattern.matrix(self.K_free.data[self.disc.coupling_pattern.source])
-
-    @cached_property
-    def _neumann_factor(self):
-        return _factor_spd(self.K_free)
-
-    @cached_property
-    def _dirichlet_factor(self):
-        return _factor_spd(self.K_interior)
-
-    # |K|_inf of each factored block, for the backward errors of its solves
-    @cached_property
-    def _K_free_norm(self) -> float:
-        return _inf_norm(self.K_free)
-
-    @cached_property
-    def _K_interior_norm(self) -> float:
-        return _inf_norm(self.K_interior)
-
-    @staticmethod
-    def _solve_refined(factor, K, K_norm: float, B: np.ndarray) -> np.ndarray:
-        # the factorization alone solves to rounding level, so only a block
-        # with a column past the tolerance takes one refinement step, and is
-        # then judged again
-        X = factor.solve(B)
-        R = B - K @ X
-        eta = _backward_errors(K_norm, X, B, R)
-        if not np.all(eta <= BACKWARD_ERROR_TOL):
-            X += factor.solve(R)
-            eta = _backward_errors(K_norm, X, B, B - K @ X)
-        bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise FemError(f"linear solve failed, backward error {eta[j]:.3e} in column {j}")
-        return X
+        return self.disc.coupling_pattern.matrix(self.free.K.data[self.disc.coupling_pattern.source])
 
     def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
         """X as a float block on the Neumann trace dofs, or FemError."""
@@ -516,7 +510,7 @@ class ElasticitySolver:
         B[disc.trace_dofs] = disc.boundary_mass @ coeffs
         U = np.zeros_like(B)
         rows = disc.free_pattern.rows
-        U[rows] = self._solve_refined(self._neumann_factor, self.K_free, self._K_free_norm, B[rows])
+        U[rows] = self.free.solve(B[rows])
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:
@@ -528,7 +522,5 @@ class ElasticitySolver:
         U = np.zeros((disc.n_dofs, traces.shape[1]))
         U[disc.trace_dofs] = traces
         B = -(self.K_it @ traces)
-        U[disc.interior_pattern.rows] = self._solve_refined(
-            self._dirichlet_factor, self.K_interior, self._K_interior_norm, B
-        )
+        U[disc.interior_pattern.rows] = self.interior.solve(B)
         return U

@@ -146,7 +146,7 @@ def kohn_vogelius(
     ss_n = np.einsum("keij,keij->ke", strain_n, strain_n)
     ss_d = np.einsum("keij,keij->ke", strain_d, strain_d)
     # one contiguous row per load (k, n_el): a strided operand takes another dot path
-    energy = strain_energy_density(field, strain_n - strain_d, div_n - div_d)
+    energy = strain_energy_density(field.lam, field.mu, strain_n - strain_d, div_n - div_d)
     d_lam = (div_d**2 - div_n**2) * area
     d_mu = 2.0 * (ss_d - ss_n) * area
     j = 0.0

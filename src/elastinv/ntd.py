@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients, quadrant_regions
+from .fem import (
+    ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients, quadrant_regions,
+    strain_energy_density,
+)
 from .mesh import Mesh
 
 ORDER_TOL = 1e-8     # slack for inequalities obtained through eigen-solves
@@ -81,14 +84,10 @@ def monotonicity_sandwich(
     disc = s1.disc
     dlam = s1.field.lam - s2.field.lam
     dmu = s1.field.mu - s2.field.mu
-
-    def weighted(U):  # one contiguous row of weighted densities per load
-        strain, div = disc.strains(U)
-        return dlam * div**2 + 2.0 * dmu * np.einsum("keij,keij->ke", strain, strain)
-
     coeffs = load_coefficients(s1.mesh, loads)
     U1, U2 = s1.solve_neumann(coeffs), s2.solve_neumann(coeffs)
-    w1, w2 = weighted(U1), weighted(U2)
+    # one contiguous row of (C1 - C2)-weighted densities per load
+    w1, w2 = (strain_energy_density(dlam, dmu, *disc.strains(U)) for U in (U1, U2))
     M, trace = disc.boundary_mass, disc.trace_dofs
     terms = []
     for j in range(len(loads)):
@@ -176,13 +175,17 @@ def stability_ratio_experiment(mesh: Mesh, family: list[OrderedPair]) -> Stabili
     )
 
 
-def quadrant_pair(mesh: Mesh, rng: np.random.Generator, bounds=(0.5, 4.0, 0.5, 8.0)) -> OrderedPair:
+# the admissible box (a, b, c, d) of the quadrant fields of the operator checks
+QUADRANT_BOUNDS = (0.5, 4.0, 0.5, 8.0)
+
+
+def quadrant_pair(mesh: Mesh, rng: np.random.Generator) -> OrderedPair:
     """Random pointwise-ordered pair, piecewise constant on the disk quadrants.
 
-    Two draws per quadrant from the admissible box are split into min/max
+    Two draws per quadrant from QUADRANT_BOUNDS are split into min/max
     envelopes, which yields an ordered pair by construction.
     """
-    param = RegionParameterization(quadrant_regions(mesh), bounds)
+    param = RegionParameterization(quadrant_regions(mesh), QUADRANT_BOUNDS)
     x_a = rng.uniform(param.lower, param.upper)
     x_b = rng.uniform(param.lower, param.upper)
     return OrderedPair(param.to_field(np.minimum(x_a, x_b)), param.to_field(np.maximum(x_a, x_b)))

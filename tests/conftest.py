@@ -56,4 +56,4 @@ def random_trace(mesh, rng):
 def interior_energy(solver, u):
     """Exact volume integral of C(strain):strain for one (2n,) displacement column."""
     strain, div = solver.disc.strains(u[:, None])
-    return float(np.dot(solver.disc.area, strain_energy_density(solver.field, strain, div)[0]))
+    return float(np.dot(solver.disc.area, strain_energy_density(solver.field.lam, solver.field.mu, strain, div)[0]))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elastinv import experiments
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     DISCREPANCY_TAU,
@@ -222,6 +223,25 @@ class TestConfig:
             assert ExperimentConfig.from_dict(config.to_dict()) == config
             with pytest.raises(ConfigError, match="initial"):
                 ExperimentConfig(kind=kind, initial=(2.0, 2.0))
+
+    def test_reads_is_the_readme_table(self):
+        """The derived read fields of the reconstruction kinds, and the
+        hand-kept ones of the others, equal the table written out in the README."""
+        common = {"kind", "schema_version", "target_h", "dirichlet_arc", "seed"}
+        fit = {"loads", "data_mesh", "max_iterations", "gradient_tolerance"}
+        table = {
+            "example1": fit | {"initial"},
+            "example2": fit,
+            "example3": fit,
+            "monotonicity": {"loads", "n_pairs"},
+            "stability": {"n_pairs"},
+            "forward": {"truth", "loads"},
+            "custom": fit | {"initial", "truth", "noise", "rho"},
+        }
+        assert {kind: set(reads) for kind, reads in READS.items()} == {
+            kind: common | fields for kind, fields in table.items()
+        }
+        assert all(len(set(reads)) == len(reads) for reads in READS.values())
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -638,6 +658,26 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, names",
+        [
+            ({"kind": "forward", "dirichlet_arc": [0.0, 7.0]}, ["dirichlet arc"]),
+            ({"kind": "custom", "truth": {"type": "file", "path": "field.txt"}, "data_mesh": "refine"},
+             ["truth", "data_mesh"]),
+        ],
+        ids=["arc-width", "file-truth-refine"],
+    )
+    def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
+        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**config, "target_h": 0.3}))
+        out = tmp_path / "out"
+        code = main([config["kind"], "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
 
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

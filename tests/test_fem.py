@@ -132,8 +132,8 @@ def _blocks(solver):
     return [
         (name, K, pattern.rows, pattern.cols)
         for name, K, pattern in [
-            ("K_free", solver.K_free, disc.free_pattern),
-            ("K_interior", solver.K_interior, disc.interior_pattern),
+            ("K_free", solver.free.K, disc.free_pattern),
+            ("K_interior", solver.interior.K, disc.interior_pattern),
             ("K_it", solver.K_it, disc.coupling_pattern),
         ]
     ]
@@ -155,7 +155,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("arc", ARCS)
     def test_gathered_blocks_match_scatter_reference(self, arc):
-        """The interior blocks gathered from K_free's data are bit for bit a
+        """The interior blocks gathered from the free block's data are bit for bit a
         scatter of the element matrices into their own patterns."""
         mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
         solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(12)))
@@ -186,11 +186,11 @@ class TestAssembly:
         for arc in ARCS:
             mesh = partition_boundary(fine_mesh, BoundaryPartitionSpec(*arc))
             solver = ElasticitySolver(mesh, random_field(mesh, rng))
-            for K in (solver.K_free, solver.K_interior):
+            for K in (solver.free.K, solver.interior.K):
                 assert (K != K.T).nnz == 0
 
     def test_energy_matches_per_element_oracle(self, coarse_mesh):
-        """u^T K_free u against an independent per-element quadrature loop."""
+        """u^T K u of the free block against an independent per-element quadrature loop."""
         rng = np.random.default_rng(3)
         field = LameField(
             rng.uniform(1, 4, coarse_mesh.n_elements),
@@ -218,7 +218,7 @@ class TestAssembly:
             total += area * np.tensordot(stress, strain)
 
         free = u[rows]
-        assert np.isclose(free @ (solver.K_free @ free), total, rtol=1e-10)
+        assert np.isclose(free @ (solver.free.K @ free), total, rtol=1e-10)
 
     def test_reduced_system_spd(self, coarse_mesh):
         rng = np.random.default_rng(4)
@@ -227,7 +227,7 @@ class TestAssembly:
                 rng.uniform(0.5, 5, coarse_mesh.n_elements),
                 rng.uniform(0.5, 9, coarse_mesh.n_elements),
             )
-            eigs = np.linalg.eigvalsh(ElasticitySolver(coarse_mesh, field).K_free.toarray())
+            eigs = np.linalg.eigvalsh(ElasticitySolver(coarse_mesh, field).free.K.toarray())
             assert eigs.min() > 0.0
 
     def test_traction_only_run_builds_no_interior_pattern(self):
@@ -307,8 +307,8 @@ class TestOrderingReuse:
         solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(32)))
         disc = solver.disc
         for K, pattern, lu in [
-            (solver.K_free, disc.free_pattern, solver._neumann_factor),
-            (solver.K_interior, disc.interior_pattern, solver._dirichlet_factor),
+            (solver.free.K, disc.free_pattern, solver.free.factor),
+            (solver.interior.K, disc.interior_pattern, solver.interior.factor),
         ]:
             natural = np.argsort(pattern.rows)  # the block back in dof order
             mmd = fem.spla.splu(
@@ -367,7 +367,7 @@ class TestNeumannSolve:
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.2))
         b = free_rhs(solver, load_coefficients(medium_mesh, [g]))[:, 0]
-        r = solver.K_free @ solve_load(solver, g)[solver.disc.free_pattern.rows] - b
+        r = solver.free.K @ solve_load(solver, g)[solver.disc.free_pattern.rows] - b
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
     def test_div_is_trace_of_strain(self, medium_mesh, field_37):
@@ -499,19 +499,19 @@ class TestBlockSolves:
 
     def test_stiffness_norm_taken_once_per_block(self, medium_mesh, field_37, monkeypatch):
         norms = []
-        norm = fem._inf_norm
-        monkeypatch.setattr(fem, "_inf_norm", lambda A: norms.append(A.shape) or norm(A))
+        norm = fem.SpdBlock.norm.func  # the function the cached property calls
+        monkeypatch.setattr(fem.SpdBlock.norm, "func", lambda block: norms.append(block.K.shape) or norm(block))
         solver = ElasticitySolver(medium_mesh, field_37)
         rng = np.random.default_rng(23)
         for _ in range(3):
             solver.solve_neumann(rng.standard_normal((len(solver.disc.trace_dofs), 2)))
             solver.solve_dirichlet(rng.standard_normal((len(solver.disc.trace_dofs), 2)))
-        assert norms == [solver.K_free.shape, solver.K_interior.shape]
+        assert norms == [solver.free.K.shape, solver.interior.K.shape]
 
     def test_bad_column_fails_despite_block_norm(self, medium_mesh, field_37):
         """A failed small-load column raises although the block-wide residual is tiny."""
         solver = ElasticitySolver(medium_mesh, field_37)
-        exact = solver._neumann_factor
+        exact = solver.free.factor
 
         class Corrupting:
             def solve(self, b):
@@ -519,13 +519,13 @@ class TestBlockSolves:
                 x[:, 1] *= 1.0 + 1e-6
                 return x
 
-        solver._neumann_factor = Corrupting()
+        solver.free.factor = Corrupting()
         coeffs = load_coefficients(
             medium_mesh, [SurfaceLoad(constant=(1e6, 1e6)), SurfaceLoad(constant=(1e-6, 1e-6))]
         )
         B = free_rhs(solver, coeffs)
         X = Corrupting().solve(B)
-        block_rel = np.linalg.norm(solver.K_free @ X - B) / np.linalg.norm(B)
+        block_rel = np.linalg.norm(solver.free.K @ X - B) / np.linalg.norm(B)
         assert block_rel <= 1e-12  # one norm over the block would accept this solve
         with pytest.raises(FemError, match="column 1"):
             solver.solve_neumann(coeffs)
@@ -545,8 +545,8 @@ class TestBlockSolves:
 
     def test_healthy_block_solves_once(self, medium_mesh, field_37, default_loads):
         solver = ElasticitySolver(medium_mesh, field_37)
-        solver._neumann_factor = neumann = self.Perturbing(solver._neumann_factor)
-        solver._dirichlet_factor = dirichlet = self.Perturbing(solver._dirichlet_factor)
+        solver.free.factor = neumann = self.Perturbing(solver.free.factor)
+        solver.interior.factor = dirichlet = self.Perturbing(solver.interior.factor)
         coeffs = load_coefficients(medium_mesh, default_loads)
         solver.solve_neumann(coeffs)
         solver.solve_dirichlet(coeffs)
@@ -556,7 +556,7 @@ class TestBlockSolves:
         solver = ElasticitySolver(medium_mesh, field_37)
         coeffs = load_coefficients(medium_mesh, default_loads)
         exact = solver.solve_neumann(coeffs)
-        solver._neumann_factor = factor = self.Perturbing(solver._neumann_factor, 1e-10, 1)
+        solver.free.factor = factor = self.Perturbing(solver.free.factor, 1e-10, 1)
         refined = solver.solve_neumann(coeffs)
         assert factor.calls == 2
         assert np.abs(refined - exact).max() <= 1e-14 * np.abs(exact).max()
@@ -564,7 +564,7 @@ class TestBlockSolves:
     def test_refined_block_is_judged_again(self, medium_mesh, field_37, default_loads):
         # one refinement step leaves a column perturbed on every solve 1e-12 off
         solver = ElasticitySolver(medium_mesh, field_37)
-        solver._neumann_factor = factor = self.Perturbing(solver._neumann_factor, 1e-6, 2)
+        solver.free.factor = factor = self.Perturbing(solver.free.factor, 1e-6, 2)
         with pytest.raises(FemError, match="column 1"):
             solver.solve_neumann(load_coefficients(medium_mesh, default_loads))
         assert factor.calls == 2

@@ -5,6 +5,7 @@ from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
 from elastinv.mesh import generate_disk_mesh
 from elastinv.ntd import (
     ORDER_TOL,
+    QUADRANT_BOUNDS,
     OrderedPair,
     OrderError,
     build_ntd,
@@ -183,7 +184,8 @@ class TestStabilityExperiment:
     @pytest.mark.parametrize("seed", [0, 7, 104, 2024])
     def test_quadrant_pair_keeps_its_draws(self, medium_mesh, seed):
         """The pairs of the per-quadrant draw that quadrant_pair was first written with."""
-        a, b, c, d = 0.5, 4.0, 0.5, 8.0
+        assert QUADRANT_BOUNDS == (0.5, 4.0, 0.5, 8.0)
+        a, b, c, d = QUADRANT_BOUNDS
         cx, cy = medium_mesh.element_centroids.T
         quadrant = (cx < 0).astype(int) * 2 + (cy < 0).astype(int)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -124,6 +124,6 @@ def test_factor_fill_is_counted_per_field(tracing):
     metrics, _ = tracing.layer_metrics(tracer)
     # the order, and so the fill, depends on the mesh only
     mesh = build_mesh(config, config.target_h)
-    lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))._neumann_factor
+    lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements)).free.factor
     assert metrics["fem.factorizations"]["value"] == 2
     assert metrics["fem.factor_nnz"]["value"] == 2 * (lu.L.nnz + lu.U.nnz)

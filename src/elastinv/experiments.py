@@ -274,7 +274,11 @@ def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:
 # two entries: a run uses at most an inversion mesh and a refined data mesh
 @functools.lru_cache(maxsize=2)
 def _partitioned_mesh(target_h: float, arc: tuple[float, float]) -> Mesh:
-    return partition_boundary(generate_disk_mesh(target_h), BoundaryPartitionSpec(*arc))
+    mesh = generate_disk_mesh(target_h)
+    try:
+        return partition_boundary(mesh, BoundaryPartitionSpec(*arc))
+    except MeshError as exc:  # the arc holds no boundary edge of this mesh, or all of them
+        raise ConfigError(f"dirichlet_arc {list(arc)} at target_h {target_h}: {exc}") from exc
 
 
 def build_meshes(config: ExperimentConfig) -> tuple[Mesh, Mesh]:

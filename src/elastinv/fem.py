@@ -2,10 +2,13 @@
 
 Displacements are piecewise linear, Lame parameters piecewise constant per
 element, so strains are constant per element and all volume integrals reduce
-to exact per-element sums.  Surface loads live in the space of piecewise
-linear traces on the Neumann boundary that vanish at the clamped part; the
-boundary mass matrix of that space converts nodal load coefficients into the
-FEM right-hand side.
+to exact per-element sums.  The stiffness is affine in the per-element
+moduli, K = sum_e lam_e K_e^lam + mu_e K_e^mu, so each mesh maps elements to
+stiffness entries (one map per modulus) and displacements to strains once,
+and a field's stiffness and strains are sparse products.  Surface loads
+live in the space of piecewise linear traces on the Neumann boundary that
+vanish at the clamped part; the boundary mass matrix of that space converts
+nodal load coefficients into the FEM right-hand side.
 """
 
 from __future__ import annotations
@@ -178,8 +181,8 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
 
 class Discretization:
     """Mesh-only data of the P1 space: element gradients, node sets, boundary
-    mass and the CSR patterns of the stiffness blocks, each in its
-    fill-reducing order.
+    mass, the strain map and the CSR patterns of the stiffness blocks, each
+    in its fill-reducing order, the free block's with its stiffness maps.
 
     Built once per mesh by `discretization` and shared by every solver on that
     mesh.  It keeps no reference to the mesh, so the per-mesh cache does not
@@ -217,7 +220,7 @@ class Discretization:
     # built on first use: a traction-only run never builds the interior blocks
     @cached_property
     def free_pattern(self) -> "BlockPattern":
-        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self.triangles)
+        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self)
 
     # interior and trace nodes are free: these blocks are gathered from the free block's data
     @cached_property
@@ -230,14 +233,22 @@ class Discretization:
         rows, cols = self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
         return self.free_pattern.sub_block(BlockPattern(self._node_graph(), rows, cols))
 
+    @cached_property
+    def strain_map(self) -> sp.csr_matrix:
+        """Row c n_el + e sums bx u_x, by u_y, by u_x or bx u_y (c = 0..3) over
+        element e's nodes, in its node order."""
+        dofs = 2 * self.triangles
+        cols = np.stack([dofs, dofs + 1, dofs, dofs + 1]).ravel()
+        data = np.stack([self.bx, self.by, self.by, self.bx]).ravel()
+        return sp.csr_matrix((data, cols, np.arange(0, len(cols) + 1, 3)), shape=(len(cols) // 3, self.n_dofs))
+
     def strains(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element symmetric strains (k, n_el, 2, 2) and divergences
-        (k, n_el) of a (2n, k) block of nodal displacements, one row per column."""
-        u = np.take(U.T.reshape(U.shape[1], -1, 2), self.triangles, axis=1)  # (k, n_el, 3, 2)
-        exx = np.einsum("ej,kej->ke", self.bx, u[..., 0])
-        eyy = np.einsum("ej,kej->ke", self.by, u[..., 1])
-        exy = 0.5 * (np.einsum("ej,kej->ke", self.by, u[..., 0]) + np.einsum("ej,kej->ke", self.bx, u[..., 1]))
-        return np.stack([exx, exy, exy, eyy], axis=-1).reshape(exx.shape + (2, 2)), exx + eyy
+        """Per-element strain components (3, k, n_el), exx, eyy and exy, and
+        divergences (k, n_el) of a (2n, k) block of nodal displacements, one
+        contiguous row per column."""
+        xx, yy, yx, xy = np.ascontiguousarray((self.strain_map @ U).T).reshape(U.shape[1], 4, -1).transpose(1, 0, 2)
+        strain = np.stack([xx, yy, 0.5 * (yx + xy)])
+        return strain, strain[0] + strain[1]
 
 
 # meshes are not modified after construction (their own cached properties
@@ -253,10 +264,15 @@ def discretization(mesh: Mesh) -> Discretization:
     return disc
 
 
+def strain_dot(strain: np.ndarray) -> np.ndarray:
+    """Per-element strain:strain (k, n_el) of stacked (exx, eyy, exy), as an einsum over the 2x2 tensor sums it."""
+    xx, yy, xy = strain * strain
+    return (xx + xy) + (xy + yy)
+
+
 def strain_energy_density(lam: np.ndarray, mu: np.ndarray, strain: np.ndarray, div: np.ndarray) -> np.ndarray:
     """Per-element energy densities (k, n_el) lam*div^2 + 2*mu*strain:strain of a k-column block."""
-    ss = np.einsum("keij,keij->ke", strain, strain)
-    return lam * div**2 + 2.0 * mu * ss
+    return lam * div**2 + 2.0 * mu * strain_dot(strain)
 
 
 def _fill_reducing_order(graph: sp.csr_matrix) -> np.ndarray:
@@ -281,59 +297,82 @@ class BlockPattern:
     """CSR pattern of one stiffness block, column indices sorted in each row.
 
     Row 2p, 2p + 1 of the block are the x, y dofs of row_nodes[p] (`rows`
-    lists them), and likewise for the columns (`cols`).  Given the mesh
-    triangles, `scatter` maps the flattened (n_el, 6, 6) element matrices,
-    on the interleaved element dofs (x0, y0, x1, y1, x2, y2), to CSR data
-    indices; entries outside the block map to the dummy slot `nnz`.  A block
-    made by `sub_block` carries the positions of its entries (`source`) instead.
+    lists them), and likewise for the columns (`cols`).  Given the
+    Discretization, a square block gets its stiffness maps, block entries x
+    elements: a field's entries on and above the diagonal are `lam_map @ lam
+    + mu_map @ mu`, each summing its elements in ascending order, and
+    `from_upper` is the data index of each entry or, below the diagonal, of
+    its mirror.  A block made by `sub_block` carries the positions of its
+    entries (`source`) instead.
     """
 
-    def __init__(self, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray, triangles=None):
+    def __init__(self, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray, disc=None):
         self.rows, self.cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
         # two dofs couple when their nodes share an element: the node
         # adjacency of the block, each entry widened to a 2x2 dof block
         nodes = graph[row_nodes][:, col_nodes].sorted_indices()
         block = sp.kron(nodes, np.ones((2, 2), dtype=np.int8), format="csr")
         self.shape, self.nnz, self.indices, self.indptr = block.shape, block.nnz, block.indices, block.indptr
-        if triangles is None:
+        if disc is None:
             return
 
+        # a mirror sits in a later row: of an entry and its mirror, the one on
+        # or above the diagonal has the smaller data index
+        mirror = self.matrix(np.arange(self.nnz, dtype=np.int32) + 1).T.tocsr().sorted_indices().data - 1
+        self.from_upper = np.minimum(np.arange(self.nnz, dtype=np.int32), mirror)
         # node pairs' (row, col) keys ascend along the node block's data, so
         # each element's node pairs find their slots t by binary search; the
         # 2x2 dof block of slot t in node row p starts at 2 indptr[p] + 2 t,
         # its second row 2 deg(p) further on
-        n_cols, deg = nodes.shape[1], np.diff(nodes.indptr)
-        keys = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), deg) * n_cols + nodes.indices
-
-        def positions(block_nodes):  # (n_el, 3) block positions of the element nodes, or -1
-            pos = np.full(graph.shape[0], -1, dtype=np.int64)
-            pos[block_nodes] = np.arange(len(block_nodes))
-            return pos[triangles]
-
-        er, ec = positions(row_nodes), positions(col_nodes)
-        # element-matrix entry (2a + i, 2b + j) is scatter[:, a, i, b, j]
-        scatter = np.full((len(triangles), 3, 2, 3, 2), self.nnz, dtype=np.int32)
+        n_nodes, deg = nodes.shape[1], np.diff(nodes.indptr)
+        keys = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), deg) * n_nodes + nodes.indices
+        pos = np.full(graph.shape[0], -1, dtype=np.int64)
+        pos[row_nodes] = np.arange(len(row_nodes))
+        er = pos[disc.triangles]  # block positions of the element nodes, or -1
+        n_el = len(er)
+        # element-matrix entry (2a + i, 2b + j) lands in slot[:, a, i, b, j]
+        slot = np.zeros((n_el, 3, 2, 3, 2), dtype=np.int64)
         for a in range(3):
-            inside = (er[:, a, None] >= 0) & (ec >= 0)
-            p = np.broadcast_to(er[:, a, None], ec.shape)[inside]
-            start = 2 * (nodes.indptr[p] + np.searchsorted(keys, p * n_cols + ec[inside]))
+            inside = (er[:, a, None] >= 0) & (er >= 0)
+            p = np.broadcast_to(er[:, a, None], er.shape)[inside]
+            start = 2 * (nodes.indptr[p] + np.searchsorted(keys, p * n_nodes + er[inside]))
             for i, j in np.ndindex(2, 2):
-                scatter[:, a, i, :, j][inside] = start + 2 * i * deg[p] + j
-        self.scatter = scatter.ravel()
+                slot[:, a, i, :, j][inside] = start + 2 * i * deg[p] + j
+        dofs = (2 * er[:, :, None] + np.arange(2)).reshape(n_el, 6)  # negative outside the block
+        upper = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
+        # one key (slot, element, entry) per map entry, built in place (this
+        # runs at the size of the finest mesh); sorted, each slot's elements ascend
+        slot *= 36 * n_el
+        slot += 36 * np.arange(n_el)[:, None, None, None, None]
+        slot += np.arange(36).reshape(3, 2, 3, 2)
+        sort_keys = slot.reshape(n_el, 6, 6)[upper]
+        del slot, mirror
+        sort_keys.sort()
+        indices, entry = (sort_keys // 36 % n_el).astype(np.int32), (sort_keys % 36).astype(np.int8)
+        indptr = np.searchsorted(sort_keys, np.arange(self.nnz + 1) * (36 * n_el)).astype(np.int32)
+        del sort_keys
+        # each element dof's own barycentric-gradient component g and the other one h
+        g = np.stack([disc.bx, disc.by], axis=2).reshape(-1, 6)
+        h = np.stack([disc.by, disc.bx], axis=2).reshape(-1, 6)
+        lam, mu = np.empty((2, len(entry)))
+        for i, j in np.ndindex(6, 6):
+            at = np.flatnonzero(entry == 6 * i + j)
+            e = indices[at]
+            lam[at] = disc.area[e] * (g[e, i] * g[e, j])
+            mu[at] = disc.area[e] * (h[e, i] * h[e, j]) + (2.0 * lam[at] if i % 2 == j % 2 else 0.0)
+        self.lam_map = sp.csr_matrix((lam, indices, indptr), shape=(self.nnz, n_el))
+        self.mu_map = sp.csr_matrix((mu, indices, indptr), shape=(self.nnz, n_el))
+        release_free_heap()  # the build's temporaries are gone: return their storage to the OS
 
     @classmethod
-    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, triangles=None) -> "BlockPattern":
+    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, disc=None) -> "BlockPattern":
         """The square block on nodes, rows and columns in the fill-reducing
         order of its node graph."""
         nodes = nodes[_fill_reducing_order(graph[nodes][:, nodes])]
-        return cls(graph, nodes, nodes, triangles)
+        return cls(graph, nodes, nodes, disc)
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def assemble(self, ke: np.ndarray) -> sp.csr_matrix:
-        """The block of the stiffness with flattened element matrices ke."""
-        return self.matrix(np.bincount(self.scatter, weights=ke, minlength=self.nnz + 1)[: self.nnz])
 
     def sub_block(self, sub: "BlockPattern") -> "BlockPattern":
         """sub, a block on some rows and columns of this square block, with
@@ -343,33 +382,6 @@ class BlockPattern:
         slots = sp.csr_matrix((np.arange(1, self.nnz + 1), self.indices, self.indptr), shape=self.shape)
         sub.source = slots[pos[sub.rows]][:, pos[sub.cols]].sorted_indices().data - 1
         return sub
-
-
-def element_stiffness(disc: Discretization, field: LameField) -> np.ndarray:
-    """(n_el, 6, 6) element stiffness matrices on the interleaved element dofs, exactly symmetric.
-
-    The area times B^T D B, with B mapping the 6 nodal dofs to Voigt strain,
-    in closed form from the outer products of the barycentric gradients.
-    Products commute exactly, so the xx and yy blocks are symmetric and the
-    yx block is the xy block transposed; the scatter sums the (i, j) and
-    (j, i) entries of a block in the same element order, so every assembled
-    block with rows == cols is exactly symmetric too.
-    """
-    # per-element moduli times area: a(lam + 2 mu), a lam, a mu
-    lam = (disc.area * field.lam)[:, None, None]
-    mu = (disc.area * field.mu)[:, None, None]
-    lam_2mu = lam + 2.0 * mu
-    bx, by = disc.bx[:, :, None], disc.by[:, :, None]
-    xx = bx * bx.transpose(0, 2, 1)
-    yy = by * by.transpose(0, 2, 1)
-    xy = bx * by.transpose(0, 2, 1)
-    ke = np.empty((len(lam), 6, 6))
-    ke[:, 0::2, 0::2] = lam_2mu * xx + mu * yy
-    ke[:, 1::2, 1::2] = lam_2mu * yy + mu * xx
-    coupling = lam * xy + mu * xy.transpose(0, 2, 1)
-    ke[:, 0::2, 1::2] = coupling
-    ke[:, 1::2, 0::2] = coupling.transpose(0, 2, 1)
-    return ke
 
 
 def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -466,11 +478,10 @@ class SpdBlock:
 class ElasticitySolver:
     """Traction and prescribed-trace solves sharing one stiffness per field.
 
-    The element matrices are computed once per field.  On first use they are
-    scattered into the free block, which traction solves factor, and the
-    interior blocks, which prescribed-trace solves need, are gathered from
-    its data.  Every solve takes a block of right-hand sides, one column per
-    load or trace.
+    On first use the field's free block, which traction solves factor, is
+    built from the mesh's stiffness maps, and the interior blocks, which
+    prescribed-trace solves need, are gathered from its data.  Every solve
+    takes a block of right-hand sides, one column per load or trace.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
@@ -478,11 +489,13 @@ class ElasticitySolver:
         self.mesh = mesh
         self.field = field
         self.disc = discretization(mesh)
-        self._ke = element_stiffness(self.disc, field).ravel()
 
     @cached_property
     def free(self) -> SpdBlock:
-        return SpdBlock(self.disc.free_pattern.assemble(self._ke))
+        p = self.disc.free_pattern
+        # two products: one over the stacked [lam; mu] rounds differently
+        data = p.lam_map @ self.field.lam + p.mu_map @ self.field.mu
+        return SpdBlock(p.matrix(data[p.from_upper]))
 
     @cached_property
     def interior(self) -> SpdBlock:

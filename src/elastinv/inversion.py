@@ -24,6 +24,7 @@ from .fem import (
     SurfaceLoad,
     load_coefficients,
     release_free_heap,
+    strain_dot,
     strain_energy_density,
 )
 from .mesh import Mesh
@@ -133,8 +134,8 @@ def kohn_vogelius(
       dJ/dlam_e = sum_k [ div(uD)^2 - div(uN)^2 ] * area_e,
       dJ/dmu_e  = sum_k [ 2 strain(uD):strain(uD) - 2 strain(uN):strain(uN) ] * area_e,
     plus the regularizer terms rho * lam_e * area_e and rho * mu_e * area_e.
-    One solver serves both: all loads are one traction block, all traces one
-    prescribed-trace block.  Returns (J, dJ/dlam, dJ/dmu).
+    One solver serves both: all loads are one traction block and all traces one
+    prescribed-trace block, strains one sparse product each.  Returns (J, dJ/dlam, dJ/dmu).
     """
     solver = ElasticitySolver(mesh, field)
     disc = solver.disc
@@ -143,12 +144,10 @@ def kohn_vogelius(
     area = mesh.element_areas
     strain_n, div_n = disc.strains(U_n)
     strain_d, div_d = disc.strains(U_d)
-    ss_n = np.einsum("keij,keij->ke", strain_n, strain_n)
-    ss_d = np.einsum("keij,keij->ke", strain_d, strain_d)
     # one contiguous row per load (k, n_el): a strided operand takes another dot path
     energy = strain_energy_density(field.lam, field.mu, strain_n - strain_d, div_n - div_d)
     d_lam = (div_d**2 - div_n**2) * area
-    d_mu = 2.0 * (ss_d - ss_n) * area
+    d_mu = 2.0 * (strain_dot(strain_d) - strain_dot(strain_n)) * area
     j = 0.0
     g_lam = np.zeros(mesh.n_elements)
     g_mu = np.zeros(mesh.n_elements)

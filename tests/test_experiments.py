@@ -679,6 +679,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(name in err for name in names)
 
+    @pytest.mark.parametrize("arc", [[0.1, 0.12], [0.1, 6.35]], ids=["no-edge", "every-edge"])
+    def test_arc_that_leaves_a_boundary_part_empty_is_config_error(self, tmp_path, capsys, arc):
+        """An arc narrow enough to hold no boundary edge's midpoint, or wide
+        enough to hold all of them, names the field, its value and the mesh size."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"kind": "forward", "target_h": 0.3, "dirichlet_arc": arc}))
+        out = tmp_path / "out"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "dirichlet_arc" in err and str(arc) in err and "target_h 0.3" in err
+
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": 0.3, "n_pairs": -3}))

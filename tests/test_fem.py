@@ -155,25 +155,36 @@ class TestAssembly:
 
     @pytest.mark.parametrize("arc", ARCS)
     def test_gathered_blocks_match_scatter_reference(self, arc):
-        """The interior blocks gathered from the free block's data are bit for bit a
-        scatter of the element matrices into their own patterns."""
+        """Every block is bit for bit an independent scatter: one np.bincount
+        of the lam terms plus one of the mu terms over the element entries on
+        or above the free block's diagonal, each in element order, read at
+        each block entry or its mirror."""
         mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
         solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(12)))
-        dofs = (2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)  # interleaved element dofs
-        ke = fem.element_stiffness(solver.disc, solver.field)
-        for name, block, rows, cols in _blocks(solver)[1:]:
-            # block positions of the element dofs, -1 outside the block
-            r, c = np.full(solver.disc.n_dofs, -1), np.full(solver.disc.n_dofs, -1)
-            r[rows], c[cols] = np.arange(len(rows)), np.arange(len(cols))
-            er, ec = np.broadcast_arrays(r[dofs][:, :, None], c[dofs][:, None, :])
-            inside = (er >= 0) & (ec >= 0)
-            # each inside entry's data slot, looked up in a copy of the block's pattern
-            slots = sp.csr_matrix((np.arange(1, block.nnz + 1), block.indices, block.indptr), shape=block.shape)
-            slot = np.asarray(slots[er[inside], ec[inside]]).ravel() - 1
-            assert np.all(slot >= 0), name
-            # the boolean mask keeps element order, so each slot sums its entries in element order
-            ref = np.bincount(slot, weights=ke[inside], minlength=block.nnz)
-            assert np.array_equal(block.data, ref), name
+        disc, field = solver.disc, solver.field
+        # each element dof's own barycentric-gradient component g and the other one h
+        g = np.stack([disc.bx, disc.by], axis=2).reshape(-1, 6)
+        h = np.stack([disc.by, disc.bx], axis=2).reshape(-1, 6)
+        area = disc.area[:, None, None]
+        gg = area * (g[:, :, None] * g[:, None, :])
+        same = np.arange(6)[:, None] % 2 == np.arange(6) % 2
+        lam_terms = gg * field.lam[:, None, None]
+        mu_terms = (2.0 * gg * same + area * (h[:, :, None] * h[:, None, :])) * field.mu[:, None, None]
+        # free-block positions of the element dofs, -1 on the clamped part
+        pos = np.full(disc.n_dofs, -1)
+        pos[disc.free_pattern.rows] = np.arange(len(disc.free_pattern.rows))
+        dofs = pos[(2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)]
+        p, q = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        upper = (p >= 0) & (p <= q)
+        # the boolean mask keeps element order, so each entry sums its terms in element order
+        keys, entry = np.unique(p[upper] * disc.n_dofs + q[upper], return_inverse=True)
+        ref = np.bincount(entry, weights=lam_terms[upper]) + np.bincount(entry, weights=mu_terms[upper])
+        for name, block, rows, cols in _blocks(solver):
+            r = pos[np.repeat(rows, np.diff(block.indptr))]
+            c = pos[cols[block.indices]]
+            at = np.searchsorted(keys, np.minimum(r, c) * disc.n_dofs + np.maximum(r, c))
+            assert np.array_equal(keys[at], np.minimum(r, c) * disc.n_dofs + np.maximum(r, c)), name
+            assert np.array_equal(block.data, ref[at]), name
 
     def test_doubling_field_doubles_stiffness(self, medium_mesh):
         s1 = ElasticitySolver(medium_mesh, LameField.constant(3.0, 7.0, medium_mesh.n_elements))
@@ -374,9 +385,8 @@ class TestNeumannSolve:
         solver = ElasticitySolver(medium_mesh, field_37)
         u = solve_load(solver, SurfaceLoad(constant=(0.3, 0.5)))
         strain, div = solver.disc.strains(u[:, None])
-        trace = np.trace(strain, axis1=2, axis2=3)
-        assert np.array_equal(div, trace)
-        assert np.array_equal(strain, strain.transpose(0, 1, 3, 2))
+        exx, eyy, _ = strain
+        assert np.array_equal(div, exx + eyy)
 
     @pytest.mark.parametrize("arc", ARCS)
     def test_block_strains_match_columnwise_formula(self, arc):
@@ -385,14 +395,29 @@ class TestNeumannSolve:
         disc = discretization(mesh)
         U = np.random.default_rng(11).standard_normal((disc.n_dofs, 4))
         strain, div = disc.strains(U)
-        assert strain.shape == (4, mesh.n_elements, 2, 2) and div.shape == (4, mesh.n_elements)
+        assert strain.shape == (3, 4, mesh.n_elements) and div.shape == (4, mesh.n_elements)
+        # one contiguous row per column: a strided row takes another dot path
+        assert strain.flags.c_contiguous and div.flags.c_contiguous
         for k in range(4):
             u = U[:, k].reshape(-1, 2)[mesh.triangles]  # (n_el, 3, 2)
             exx = np.einsum("ej,ej->e", disc.bx, u[..., 0])
             eyy = np.einsum("ej,ej->e", disc.by, u[..., 1])
             exy = 0.5 * (np.einsum("ej,ej->e", disc.by, u[..., 0]) + np.einsum("ej,ej->e", disc.bx, u[..., 1]))
-            assert np.array_equal(strain[k], np.stack([exx, exy, exy, eyy], axis=1).reshape(-1, 2, 2))
+            assert np.array_equal(strain[:, k], np.stack([exx, eyy, exy]))
             assert np.array_equal(div[k], exx + eyy)
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_strain_dot_matches_tensor_einsum(self, arc):
+        """(xx + xy) + (xy + yy) is bit for bit the einsum over the 2x2 tensor,
+        which the reconstruction bundles were computed with."""
+        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+        disc = discretization(mesh)
+        strain, _ = disc.strains(np.random.default_rng(13).standard_normal((disc.n_dofs, 4)))
+        xx, yy, xy = strain
+        tensor = np.stack([xx, xy, xy, yy], axis=-1).reshape(xx.shape + (2, 2))
+        expected = np.einsum("keij,keij->ke", tensor, tensor)
+        assert np.array_equal((xx * xx + xy * xy) + (xy * xy + yy * yy), expected)
+        assert np.array_equal(fem.strain_dot(strain), expected)
 
     def test_load_size_mismatch(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
@@ -573,6 +598,37 @@ class TestBlockSolves:
         a = ElasticitySolver(medium_mesh, field_37)
         b = ElasticitySolver(medium_mesh, field_11)
         assert a.disc is b.disc is discretization(medium_mesh)
+
+    def test_stiffness_maps_shared_between_solvers(self, medium_mesh, field_37, field_11):
+        pa, pb = (ElasticitySolver(medium_mesh, f).disc.free_pattern for f in (field_37, field_11))
+        assert pa.lam_map is pb.lam_map and pa.mu_map is pb.mu_map
+        # the two maps have one pattern and hold it once
+        assert np.shares_memory(pa.lam_map.indices, pa.mu_map.indices)
+        assert np.shares_memory(pa.lam_map.indptr, pa.mu_map.indptr)
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_stiffness_maps_hold_each_upper_element_entry_once(self, medium_mesh, arc):
+        """One map entry per element and element-matrix entry that lands on or
+        above the free block's diagonal: the rows of the entries below it are
+        empty, and each row's elements ascend."""
+        mesh = partition_boundary(medium_mesh, BoundaryPartitionSpec(*arc))
+        pattern = discretization(mesh).free_pattern
+        pos = np.full(2 * mesh.n_nodes, -1)
+        pos[pattern.rows] = np.arange(len(pattern.rows))
+        dofs = pos[(2 * mesh.triangles[:, :, None] + np.arange(2)).reshape(-1, 6)]
+        p, q = dofs[:, :, None], dofs[:, None, :]
+        below = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr)) > pattern.indices
+        for m in (pattern.lam_map, pattern.mu_map):
+            assert m.shape == (pattern.nnz, mesh.n_elements)
+            assert m.nnz == np.count_nonzero((p >= 0) & (p <= q))
+            assert not np.diff(m.indptr)[below].any()
+            entry = np.repeat(np.arange(pattern.nnz), np.diff(m.indptr))
+            assert np.all((np.diff(m.indices) > 0) | (np.diff(entry) > 0))
+
+    def test_solver_holds_no_element_matrices(self, medium_mesh, field_37):
+        solver = ElasticitySolver(medium_mesh, field_37)
+        solver.free
+        assert [name for name, value in vars(solver).items() if isinstance(value, np.ndarray)] == []
 
     def test_mesh_data_does_not_keep_mesh_alive(self):
         mesh = generate_disk_mesh(0.25)

@@ -302,8 +302,8 @@ class BlockPattern:
     elements: a field's entries on and above the diagonal are `lam_map @ lam
     + mu_map @ mu`, each summing its elements in ascending order, and
     `from_upper` is the data index of each entry or, below the diagonal, of
-    its mirror.  A block made by `sub_block` carries the positions of its
-    entries (`source`) instead.
+    its mirror, as read off `positions`.  A block made by `sub_block` carries
+    the data indices of its entries in the block it came from (`source`).
     """
 
     def __init__(self, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray, disc=None):
@@ -316,52 +316,34 @@ class BlockPattern:
         if disc is None:
             return
 
-        # a mirror sits in a later row: of an entry and its mirror, the one on
-        # or above the diagonal has the smaller data index
-        mirror = self.matrix(np.arange(self.nnz, dtype=np.int32) + 1).T.tocsr().sorted_indices().data - 1
-        self.from_upper = np.minimum(np.arange(self.nnz, dtype=np.int32), mirror)
-        # node pairs' (row, col) keys ascend along the node block's data, so
-        # each element's node pairs find their slots t by binary search; the
-        # 2x2 dof block of slot t in node row p starts at 2 indptr[p] + 2 t,
-        # its second row 2 deg(p) further on
-        n_nodes, deg = nodes.shape[1], np.diff(nodes.indptr)
-        keys = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), deg) * n_nodes + nodes.indices
-        pos = np.full(graph.shape[0], -1, dtype=np.int64)
+        positions = self.positions()
+        # a mirror sits in a later row, so the upper one of the two has the smaller data index
+        self.from_upper = np.minimum(positions.data, positions.T.tocsr().sorted_indices().data).astype(np.int32)
+        pos = np.full(graph.shape[0], -1, dtype=np.int32)
         pos[row_nodes] = np.arange(len(row_nodes))
-        er = pos[disc.triangles]  # block positions of the element nodes, or -1
-        n_el = len(er)
-        # element-matrix entry (2a + i, 2b + j) lands in slot[:, a, i, b, j]
-        slot = np.zeros((n_el, 3, 2, 3, 2), dtype=np.int64)
-        for a in range(3):
-            inside = (er[:, a, None] >= 0) & (er >= 0)
-            p = np.broadcast_to(er[:, a, None], er.shape)[inside]
-            start = 2 * (nodes.indptr[p] + np.searchsorted(keys, p * n_nodes + er[inside]))
-            for i, j in np.ndindex(2, 2):
-                slot[:, a, i, :, j][inside] = start + 2 * i * deg[p] + j
-        dofs = (2 * er[:, :, None] + np.arange(2)).reshape(n_el, 6)  # negative outside the block
+        dofs = (2 * pos[disc.triangles][:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 6)  # negative outside the block
+        # one map entry per element e and element-matrix entry (a, b) on or
+        # above the diagonal, filed in the slot of block entry (dofs[e, a], dofs[e, b])
         upper = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
-        # one key (slot, element, entry) per map entry, built in place (this
-        # runs at the size of the finest mesh); sorted, each slot's elements ascend
-        slot *= 36 * n_el
-        slot += 36 * np.arange(n_el)[:, None, None, None, None]
-        slot += np.arange(36).reshape(3, 2, 3, 2)
-        sort_keys = slot.reshape(n_el, 6, 6)[upper]
-        del slot, mirror
-        sort_keys.sort()
-        indices, entry = (sort_keys // 36 % n_el).astype(np.int32), (sort_keys % 36).astype(np.int8)
-        indptr = np.searchsorted(sort_keys, np.arange(self.nnz + 1) * (36 * n_el)).astype(np.int32)
-        del sort_keys
-        # each element dof's own barycentric-gradient component g and the other one h
-        g = np.stack([disc.bx, disc.by], axis=2).reshape(-1, 6)
-        h = np.stack([disc.by, disc.bx], axis=2).reshape(-1, 6)
-        lam, mu = np.empty((2, len(entry)))
-        for i, j in np.ndindex(6, 6):
-            at = np.flatnonzero(entry == 6 * i + j)
-            e = indices[at]
-            lam[at] = disc.area[e] * (g[e, i] * g[e, j])
-            mu[at] = disc.area[e] * (h[e, i] * h[e, j]) + (2.0 * lam[at] if i % 2 == j % 2 else 0.0)
-        self.lam_map = sp.csr_matrix((lam, indices, indptr), shape=(self.nnz, n_el))
-        self.mu_map = sp.csr_matrix((mu, indices, indptr), shape=(self.nnz, n_el))
+        rows, cols, e, a, b = (t[upper] for t in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :],
+                               np.arange(len(dofs), dtype=np.int32)[:, None, None], *np.indices((6, 6), dtype=np.int8)))
+        slot = positions[rows, cols].A1
+        del positions, upper, rows, cols
+        order = np.argsort(slot, kind="stable")  # each slot's elements still ascend
+        indices, a, b = e[order], a[order], b[order]
+        indptr = np.bincount(slot + 1, minlength=self.nnz + 1).cumsum().astype(np.int32)  # the entries in lower slots
+        del e, slot, order
+        # row 0 holds each element dof's own barycentric-gradient component, row 1 the other one
+        gh = np.array([[disc.bx, disc.by], [disc.by, disc.bx]]).transpose(0, 2, 3, 1).reshape(2, -1)
+        at = 6 * indices.astype(np.intp) + a  # the flat index of (e, a) in (n_el, 6), then of (e, b)
+        lam, mu = coef = gh[:, at]
+        at += b - a
+        for c, t in zip(coef, gh):
+            c *= t[at]
+        del at
+        coef *= disc.area[indices]
+        mu += np.where(a % 2 == b % 2, 2.0 * lam, 0.0)
+        self.lam_map, self.mu_map = (sp.csr_matrix((d, indices, indptr), shape=(self.nnz, len(dofs))) for d in coef)
         release_free_heap()  # the build's temporaries are gone: return their storage to the OS
 
     @classmethod
@@ -374,13 +356,16 @@ class BlockPattern:
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
+    def positions(self) -> sp.csr_matrix:
+        """The block with each entry's data index as its value."""
+        return self.matrix(np.arange(self.nnz))
+
     def sub_block(self, sub: "BlockPattern") -> "BlockPattern":
         """sub, a block on some rows and columns of this square block, with
         the data index here of each of its entries, in its CSR order (`source`)."""
         pos = np.zeros(self.rows.max() + 1, dtype=np.int64)
         pos[self.rows] = np.arange(len(self.rows))
-        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), self.indices, self.indptr), shape=self.shape)
-        sub.source = slots[pos[sub.rows]][:, pos[sub.cols]].sorted_indices().data - 1
+        sub.source = self.positions()[pos[sub.rows]][:, pos[sub.cols]].sorted_indices().data
         return sub
 
 

@@ -133,7 +133,7 @@ class Mesh:
         signed = _signed_areas(self.nodes, self.triangles)
         if signed.size and signed.min() <= 0.0:
             raise MeshError("triangle with non-positive signed area (not CCW)")
-        if self.edge_tags and len(self.edge_tags) != self.boundary_edges.shape[0]:
+        if len(self.edge_tags) != self.boundary_edges.shape[0]:
             raise MeshError("edge tag count does not match boundary edge count")
         for tag in self.edge_tags:
             if tag not in (DIRICHLET, NEUMANN):

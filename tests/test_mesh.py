@@ -165,3 +165,5 @@ def test_invalid_mesh_rejected():
         Mesh(nodes, np.array([[0, 2, 1]]), np.empty((0, 2), dtype=int))  # clockwise
     with pytest.raises(MeshError):
         Mesh(nodes, np.array([[0, 1, 3]]), np.empty((0, 2), dtype=int))  # out of range
+    with pytest.raises(MeshError):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))  # untagged boundary

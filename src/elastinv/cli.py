@@ -8,7 +8,9 @@ declarative setup and individual flags override it.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .experiments import READS, ConfigError, ExperimentConfig, run_experiment
 from .fem import FemError
@@ -60,10 +62,22 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
+def check_out(out: str) -> None:
+    """Raise ConfigError unless the bundle directory out exists or can be made."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {out}: {existing} is not writable")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        bundle = run_experiment(config_from_args(args))
+        config = config_from_args(args)
+        check_out(args.out)  # before the run, which may take minutes
+        bundle = run_experiment(config)
     except (ConfigError, MeshError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

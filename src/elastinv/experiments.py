@@ -221,10 +221,23 @@ def _write_convergence(path: Path, run: inv.InversionRun) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# elements per write of a field table: the table is never held as one string
+FIELD_CHUNK = 4096
+
+
 def _write_field(path: Path, field: LameField) -> None:
-    lines = ["# lam mu (one element per line)"]
-    lines += [f"{float(l)!r} {float(m)!r}" for l, m in zip(field.lam, field.mu)]
-    path.write_text("\n".join(lines) + "\n")
+    """One `lam mu` line per element, each value its shortest round-trip repr."""
+    # each distinct value is formatted once, since truths hold few of them.
+    # A LameField is finite and strictly positive, so np.unique never merges
+    # -0.0 with 0.0, whose reprs differ
+    lam, mu = (
+        np.fromiter(map(repr, distinct.tolist()), dtype=object, count=len(distinct))[inverse].tolist()
+        for distinct, inverse in (np.unique(v, return_inverse=True) for v in (field.lam, field.mu))
+    )
+    with path.open("w") as f:
+        f.write("# lam mu (one element per line)\n")
+        for i in range(0, len(lam), FIELD_CHUNK):
+            f.write("".join([f"{l} {m}\n" for l, m in zip(lam[i : i + FIELD_CHUNK], mu[i : i + FIELD_CHUNK])]))
 
 
 def relative_l2_error(mesh: Mesh, approx: np.ndarray, exact: np.ndarray) -> float:
@@ -473,14 +486,14 @@ def run_forward(config: ExperimentConfig) -> ResultBundle:
     truth = truth_field(config.truth, mesh)
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     traces = {
-        f"load_{k}": {"load": list(g.constant), "trace": [[float(a), float(b)] for a, b in f]}
+        f"load_{k}": {"load": list(g.constant), "trace": f.tolist()}
         for k, (g, f) in enumerate(inv.generate_measurements(mesh, truth, loads).pairs)
     }
     report = {
         "kind": "forward",
         "n_nodes": mesh.n_nodes,
         "n_elements": mesh.n_elements,
-        "neumann_nodes": [int(n) for n in mesh.neumann_nodes],
+        "neumann_nodes": mesh.neumann_nodes.tolist(),
         "traces": traces,
     }
     bundle = ResultBundle(config, report)

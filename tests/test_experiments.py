@@ -14,6 +14,7 @@ from elastinv import experiments
 from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
 from elastinv.experiments import (
     DISCREPANCY_TAU,
+    FIELD_CHUNK,
     PER_ELEMENT_BOUNDS,
     READS,
     ConfigError,
@@ -26,7 +27,7 @@ from elastinv.experiments import (
     run_experiment,
     truth_field,
 )
-from elastinv.fem import DEFAULT_BOUNDS, ElasticitySolver, RegionParameterization, SurfaceLoad
+from elastinv.fem import DEFAULT_BOUNDS, ElasticitySolver, LameField, RegionParameterization, SurfaceLoad
 from elastinv.inversion import (
     InversionConfig,
     MeasurementSet,
@@ -386,6 +387,58 @@ class TestBundles:
         assert "convergence_eps0.03_rho0.0001.csv" in files["a"]
 
 
+def reference_field_table(field: LameField) -> bytes:
+    """A field table as one repr per element, joined in one string: the
+    formatter the writer had before it formatted each distinct value once."""
+    lines = ["# lam mu (one element per line)"]
+    lines += [f"{float(l)!r} {float(m)!r}" for l, m in zip(field.lam, field.mu)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestFieldTables:
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        # more elements than FIELD_CHUNK, so a table takes more than one write
+        mesh = generate_disk_mesh(0.03)
+        assert mesh.n_elements > FIELD_CHUNK
+        return mesh
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"type": "constant", "lam": 3.0, "mu": 7.0}, {"type": "radial-mu", "lam": 1.0}, {"type": "gaussian-bumps-lambda"}],
+        ids=lambda spec: spec["type"],
+    )
+    def test_truth_table_matches_reference(self, tmp_path, mesh, spec):
+        field = truth_field(spec, mesh)
+        experiments._write_field(tmp_path / "field.txt", field)
+        assert (tmp_path / "field.txt").read_bytes() == reference_field_table(field)
+
+    def test_all_distinct_table_matches_reference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * FIELD_CHUNK + 1
+        field = LameField(rng.uniform(1.0, 4.0, n), rng.uniform(2.0, 8.0, n))
+        assert len(np.unique(field.lam)) == len(np.unique(field.mu)) == n
+        experiments._write_field(tmp_path / "field.txt", field)
+        assert (tmp_path / "field.txt").read_bytes() == reference_field_table(field)
+
+    def test_repeated_long_reprs_match_reference(self, tmp_path):
+        """Repeated values whose reprs carry an exponent or many digits."""
+        values = np.array([1e-06, 2.5e-05, 123456.789, 0.1 + 0.2, 1e16])
+        rng = np.random.default_rng(4)
+        n = FIELD_CHUNK + 7
+        field = LameField(rng.choice(values, n), rng.choice(values[::-1], n), bounds=(1e-9, 1e17, 1e-9, 1e17))
+        experiments._write_field(tmp_path / "field.txt", field)
+        assert (tmp_path / "field.txt").read_bytes() == reference_field_table(field)
+
+    def test_bundle_table_reads_back_as_file_truth(self, tmp_path):
+        config = ExperimentConfig(kind="forward", target_h=0.25, truth={"type": "gaussian-bumps-lambda"})
+        bundle = run_experiment(config)
+        out = bundle.write(tmp_path / "fw")
+        read = truth_field({"type": "file", "path": str(out / "field_truth.txt")}, build_mesh(config, 0.25))
+        truth = bundle.fields["truth"]
+        assert read.lam.tobytes() == truth.lam.tobytes() and read.mu.tobytes() == truth.mu.tobytes()
+
+
 # what the README documents for each reconstruction kind: the truth (None for
 # the config's), one region or one per element, the (noise, rho) rows (None for
 # the config's) and whether noisy rows stop at the noise floor
@@ -678,6 +731,18 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert all(name in err for name in names)
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_made_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, sub):
+        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / sub if sub else blocker
+        code = main(["forward", "--mesh-h", "0.3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert blocker.read_text() == "not a directory\n"
+        err = capsys.readouterr().err
+        assert "--out" in err and str(out) in err
 
     @pytest.mark.parametrize("arc", [[0.1, 0.12], [0.1, 6.35]], ids=["no-edge", "every-edge"])
     def test_arc_that_leaves_a_boundary_part_empty_is_config_error(self, tmp_path, capsys, arc):

@@ -2,8 +2,6 @@
 operator analysis, and Lame-parameter reconstruction from boundary data."""
 
 from .mesh import (
-    DIRICHLET,
-    NEUMANN,
     BoundaryPartitionSpec,
     Mesh,
     MeshError,

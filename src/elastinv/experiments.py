@@ -160,7 +160,7 @@ class ExperimentConfig:
 
 
 def _check_truth(spec) -> None:
-    """Raise ConfigError unless spec is a truth description: known type, valid keys."""
+    """Raise ConfigError unless spec is a truth description: known type, valid keys, moduli in DEFAULT_BOUNDS."""
     if not isinstance(spec, dict):
         raise ConfigError(f"truth must be an object, got {spec!r}")
     kind = spec.get("type", "constant")
@@ -174,10 +174,12 @@ def _check_truth(spec) -> None:
             raise ConfigError(f"file truth needs a string path, got {spec.get('path')!r}")
     elif kind != "gaussian-bumps-lambda":
         raise ConfigError(f"unknown truth field type {kind!r}")
+    a, b, c, d = DEFAULT_BOUNDS
+    box = {"lam": [a, b], "mu": [c, d]}
     for key in moduli:
         value = _float_array(spec.get(key), f"truth {key}")
-        if value.shape != () or not value > 0.0:
-            raise ConfigError(f"{kind} truth needs a positive number {key}, got {spec.get(key)!r}")
+        if value.shape != () or not box[key][0] <= value <= box[key][1]:
+            raise ConfigError(f"{kind} truth needs a number {key} in {box[key]}, got {spec.get(key)!r}")
 
 
 def truth_field(spec: dict, mesh: Mesh) -> LameField:
@@ -271,7 +273,7 @@ class ResultBundle:
 
 
 # the clamped lower half-circle, unless the kind's RECONSTRUCTIONS entry gives another
-DEFAULT_ARC = (math.pi, 2.0 * math.pi)
+DEFAULT_ARC = dataclasses.astuple(BoundaryPartitionSpec())
 
 
 def build_mesh(config: ExperimentConfig, target_h: float) -> Mesh:

@@ -1,4 +1,4 @@
-"""Triangulation of the unit disk with a tagged Dirichlet/Neumann boundary.
+"""Triangulation of the unit disk with a clamped (Dirichlet) and a loaded (Neumann) boundary part.
 
 The mesher places nodes on concentric rings (angular spacing matched to the
 ring spacing, alternate rings staggered by half a step) and triangulates them
@@ -14,9 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay
-
-DIRICHLET = "DIRICHLET"
-NEUMANN = "NEUMANN"
 
 _AREA_EPS = 1e-14
 
@@ -60,23 +57,24 @@ class BoundaryPartitionSpec:
 
 @dataclass(eq=False)
 class Mesh:
-    """Conforming triangulation with a tagged boundary.
+    """Conforming triangulation whose boundary edges are each clamped or loaded.
 
     nodes          : (n, 2) float array of coordinates
     triangles      : (m, 3) int array, counter-clockwise node triples
     boundary_edges : (b, 2) int array, consecutive boundary node pairs
-    edge_tags      : length-b list of DIRICHLET / NEUMANN
+    clamped        : (b,) bool array, True on the Dirichlet edges
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    edge_tags: list[str] = field(default_factory=list)
+    clamped: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
+        self.clamped = np.asarray(self.clamped)
         self.validate()
 
     # -- basic queries ----------------------------------------------------
@@ -100,8 +98,7 @@ class Mesh:
     @cached_property
     def dirichlet_nodes(self) -> np.ndarray:
         """Sorted indices of nodes touching at least one Dirichlet edge."""
-        mask = np.array([t == DIRICHLET for t in self.edge_tags], dtype=bool)
-        return np.unique(self.boundary_edges[mask])
+        return np.unique(self.boundary_edges[self.clamped])
 
     @cached_property
     def neumann_nodes(self) -> np.ndarray:
@@ -109,14 +106,11 @@ class Mesh:
 
         Nodes shared between the two boundary parts count as Dirichlet.
         """
-        mask = np.array([t == NEUMANN for t in self.edge_tags], dtype=bool)
-        on_neumann = np.unique(self.boundary_edges[mask])
-        return np.setdiff1d(on_neumann, self.dirichlet_nodes)
+        return np.setdiff1d(self.neumann_edges, self.dirichlet_nodes)
 
     @cached_property
     def neumann_edges(self) -> np.ndarray:
-        mask = np.array([t == NEUMANN for t in self.edge_tags], dtype=bool)
-        return self.boundary_edges[mask]
+        return self.boundary_edges[~self.clamped]
 
     # -- validation -------------------------------------------------------
 
@@ -133,11 +127,8 @@ class Mesh:
         signed = _signed_areas(self.nodes, self.triangles)
         if signed.size and signed.min() <= 0.0:
             raise MeshError("triangle with non-positive signed area (not CCW)")
-        if len(self.edge_tags) != self.boundary_edges.shape[0]:
-            raise MeshError("edge tag count does not match boundary edge count")
-        for tag in self.edge_tags:
-            if tag not in (DIRICHLET, NEUMANN):
-                raise MeshError(f"unknown edge tag {tag!r}")
+        if self.clamped.dtype != bool or self.clamped.shape != self.boundary_edges.shape[:1]:
+            raise MeshError("clamped must be a bool array with one entry per boundary edge")
 
 
 def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
@@ -156,8 +147,8 @@ def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
 def generate_disk_mesh(target_h: float) -> Mesh:
     """Triangulate the unit disk with edges no longer than 2 * target_h.
 
-    The boundary is tagged with the default partition (lower half Dirichlet);
-    use partition_boundary to retag.  Raises MeshError for target_h outside
+    The boundary carries the default partition (lower half clamped); use
+    partition_boundary to clamp another arc.  Raises MeshError for target_h outside
     (0, 1).
     """
     if not (0.0 < target_h < 1.0):
@@ -179,12 +170,12 @@ def generate_disk_mesh(target_h: float) -> Mesh:
     # the orientation of the triangle that owns each edge
     ring = np.arange(len(points) - n_outer, len(points))
     edges = np.column_stack([ring, np.roll(ring, -1)])
-    mesh = Mesh(points, simplices, edges, [NEUMANN] * len(edges))
+    mesh = Mesh(points, simplices, edges, np.zeros(len(edges), bool))
     return partition_boundary(mesh, BoundaryPartitionSpec())
 
 
 def partition_boundary(mesh: Mesh, spec: BoundaryPartitionSpec) -> Mesh:
-    """Retag boundary edges by the angular position of their midpoints.
+    """Clamp the boundary edges whose midpoints lie on the spec's arc.
 
     Returns a new Mesh; raises MeshError if either boundary part comes out
     empty.
@@ -192,13 +183,12 @@ def partition_boundary(mesh: Mesh, spec: BoundaryPartitionSpec) -> Mesh:
     mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]] + mesh.nodes[mesh.boundary_edges[:, 1]])
     angles = np.mod(np.arctan2(mids[:, 1], mids[:, 0]), 2.0 * math.pi)
     inside = spec.contains(angles)
-    tags = [DIRICHLET if hit else NEUMANN for hit in inside]
-    if all(inside) or not any(inside):
+    if inside.all() or not inside.any():
         raise MeshError("boundary partition leaves one part empty")
     order = np.argsort(angles, kind="stable")
     return Mesh(
         mesh.nodes.copy(),
         mesh.triangles.copy(),
         mesh.boundary_edges[order],
-        [tags[i] for i in order],
+        inside[order],
     )

@@ -105,6 +105,7 @@ class TestConfig:
             {"loads": [(0.1, 0.2, 0.3)]},
             {"truth": {"type": "constant"}},
             {"truth": {"type": "constant", "lam": 3.0, "mu": -7.0}},
+            {"truth": {"type": "constant", "lam": 3.0, "mu": 2e6}},
             {"truth": {"type": "constant", "lam": math.nan, "mu": 7.0}},
             {"truth": {"type": "constant", "lam": "three", "mu": 7.0}},
             {"truth": {"type": "radial-mu", "lam": 0.0}},
@@ -314,11 +315,11 @@ def test_example3_arc_default_differs():
     cfg1 = ExperimentConfig(kind="example1", target_h=0.3)
     mesh3, _ = build_meshes(cfg3)
     mesh1, _ = build_meshes(cfg1)
-    assert mesh3.edge_tags != mesh1.edge_tags
+    assert not np.array_equal(mesh3.clamped, mesh1.clamped)
     # explicit arc overrides the per-kind default
     cfg_override = ExperimentConfig(kind="example3", target_h=0.3, dirichlet_arc=(math.pi, 2 * math.pi))
     mesh_override, _ = build_meshes(cfg_override)
-    assert mesh_override.edge_tags == mesh1.edge_tags
+    assert np.array_equal(mesh_override.clamped, mesh1.clamped)
 
 
 class TestMeshCache:
@@ -718,8 +719,10 @@ class TestCli:
             ({"kind": "forward", "dirichlet_arc": [0.0, 7.0]}, ["dirichlet arc"]),
             ({"kind": "custom", "truth": {"type": "file", "path": "field.txt"}, "data_mesh": "refine"},
              ["truth", "data_mesh"]),
+            ({"kind": "forward", "truth": {"type": "constant", "lam": 1e7, "mu": 7}}, ["truth", "lam", "1000000.0"]),
+            ({"kind": "forward", "truth": {"type": "radial-mu", "lam": 1e-9}}, ["truth", "lam", "1e-06"]),
         ],
-        ids=["arc-width", "file-truth-refine"],
+        ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
         monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))

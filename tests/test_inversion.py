@@ -211,7 +211,7 @@ class TestGradient:
             coarse_mesh.nodes.copy(),
             coarse_mesh.triangles[perm],
             coarse_mesh.boundary_edges.copy(),
-            list(coarse_mesh.edge_tags),
+            coarse_mesh.clamped.copy(),
         )
         field_p = LameField(field.lam[perm], field.mu[perm], bounds=field.bounds)
         truth_p = LameField(truth.lam[perm], truth.mu[perm], bounds=truth.bounds)

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastinv.mesh import (
-    DIRICHLET,
-    NEUMANN,
     BoundaryPartitionSpec,
     Mesh,
     MeshError,
@@ -38,7 +36,7 @@ def test_determinism(medium_mesh):
     assert np.array_equal(other.nodes, medium_mesh.nodes)
     assert np.array_equal(other.triangles, medium_mesh.triangles)
     assert np.array_equal(other.boundary_edges, medium_mesh.boundary_edges)
-    assert other.edge_tags == medium_mesh.edge_tags
+    assert np.array_equal(other.clamped, medium_mesh.clamped)
 
 
 def test_disk_area_within_two_percent(fine_mesh):
@@ -88,10 +86,10 @@ def test_boundary_edges_match_loop_reference(h, arc):
     mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
     edges = _loop_boundary_edges(mesh.triangles)
     ref = partition_boundary(
-        Mesh(mesh.nodes, mesh.triangles, edges, [NEUMANN] * len(edges)), BoundaryPartitionSpec(*arc)
+        Mesh(mesh.nodes, mesh.triangles, edges, np.zeros(len(edges), bool)), BoundaryPartitionSpec(*arc)
     )
     assert np.array_equal(mesh.boundary_edges, ref.boundary_edges)
-    assert mesh.edge_tags == ref.edge_tags
+    assert np.array_equal(mesh.clamped, ref.clamped)
 
 
 def test_boundary_edges_form_closed_loop(medium_mesh):
@@ -109,17 +107,16 @@ def test_default_partition_lower_half(medium_mesh):
         medium_mesh.nodes[medium_mesh.boundary_edges[:, 0]]
         + medium_mesh.nodes[medium_mesh.boundary_edges[:, 1]]
     )
-    for mid, tag in zip(mids, medium_mesh.edge_tags):
+    for mid, clamped in zip(mids, medium_mesh.clamped):
         if abs(mid[1]) < 1e-12:
             continue  # midpoint on the split line: tie-breaking is not observable behavior
-        expected = DIRICHLET if mid[1] < 0 else NEUMANN
-        assert tag == expected
+        assert clamped == (mid[1] < 0)
 
 
 def test_partition_conserves_edge_count(medium_mesh):
     tagged = partition_boundary(medium_mesh, BoundaryPartitionSpec(0.0, math.pi / 2))
-    n_d = tagged.edge_tags.count(DIRICHLET)
-    n_n = tagged.edge_tags.count(NEUMANN)
+    n_d = np.count_nonzero(tagged.clamped)
+    n_n = np.count_nonzero(~tagged.clamped)
     assert n_d > 0 and n_n > 0
     assert n_d + n_n == len(medium_mesh.boundary_edges)
 
@@ -150,13 +147,33 @@ def test_partition_tags_match_arc(theta0, width, medium_mesh):
         tagged.nodes[tagged.boundary_edges[:, 0]] + tagged.nodes[tagged.boundary_edges[:, 1]]
     )
     angles = np.mod(np.arctan2(mids[:, 1], mids[:, 0]), 2 * math.pi)
-    for ang, tag in zip(angles, tagged.edge_tags):
-        inside = (ang - theta0) % (2 * math.pi) < width
-        assert tag == (DIRICHLET if inside else NEUMANN)
+    for ang, clamped in zip(angles, tagged.clamped):
+        assert clamped == ((ang - theta0) % (2 * math.pi) < width)
 
 
 def test_dirichlet_and_neumann_nodes_disjoint(medium_mesh):
     assert not set(medium_mesh.dirichlet_nodes) & set(medium_mesh.neumann_nodes)
+
+
+@given(
+    theta0=st.floats(0.0, 2 * math.pi),
+    width=st.floats(0.5, 2 * math.pi - 0.5),
+)
+@settings(max_examples=25, deadline=None)
+def test_interface_nodes_count_as_clamped(theta0, width, medium_mesh):
+    try:
+        mesh = partition_boundary(medium_mesh, BoundaryPartitionSpec(theta0, theta0 + width))
+    except MeshError:
+        return  # arc too small/large to catch an edge midpoint
+    dirichlet, neumann = set(mesh.dirichlet_nodes), set(mesh.neumann_nodes)
+    assert dirichlet | neumann == set(mesh.boundary_edges.ravel())
+    assert not dirichlet & neumann
+    on_clamped = set(mesh.boundary_edges[mesh.clamped].ravel())
+    on_loaded = set(mesh.boundary_edges[~mesh.clamped].ravel())
+    assert on_clamped & on_loaded  # the arc has interface nodes
+    assert on_clamped & on_loaded <= dirichlet
+    loaded = [edge for edge, clamped in zip(mesh.boundary_edges.tolist(), mesh.clamped) if not clamped]
+    assert mesh.neumann_edges.tolist() == loaded
 
 
 def test_invalid_mesh_rejected():
@@ -167,3 +184,9 @@ def test_invalid_mesh_rejected():
         Mesh(nodes, np.array([[0, 1, 3]]), np.empty((0, 2), dtype=int))  # out of range
     with pytest.raises(MeshError):
         Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))  # untagged boundary
+    edges = np.array([[0, 1], [1, 2], [2, 0]])
+    string_tags = [tag.upper() for tag in ("dirichlet", "neumann", "neumann")]  # the former edge labels
+    with pytest.raises(MeshError):
+        Mesh(nodes, np.array([[0, 1, 2]]), edges, string_tags)
+    with pytest.raises(MeshError):
+        Mesh(nodes, np.array([[0, 1, 2]]), edges, np.array([True, False]))  # one short

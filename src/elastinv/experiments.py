@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -122,8 +123,13 @@ class ExperimentConfig:
         ]
         if unread:
             raise ConfigError(f"{self.kind} does not read {', '.join(unread)}; leave unread fields at their defaults")
-        if self.data_mesh == "refine" and self.truth.get("type") == "file":
-            raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
+        if self.truth.get("type") == "file":
+            if self.data_mesh == "refine":
+                raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
+            # its row count needs the mesh, so only the file itself is checked here
+            path = Path(self.truth["path"])
+            if not (path.is_file() and os.access(path, os.R_OK)):
+                raise ConfigError(f"bad truth file {path}: not a readable regular file")
         if recon:
             a, b, c, d = recon.bounds
             if not (a <= initial[0] <= b and c <= initial[1] <= d):

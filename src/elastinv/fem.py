@@ -191,6 +191,7 @@ class Discretization:
 
     def __init__(self, mesh: Mesh):
         self.triangles = mesh.triangles
+        self.coords = mesh.nodes  # the geometry that nested dissection splits
         self.n_dofs = 2 * mesh.n_nodes
         p = mesh.nodes[mesh.triangles]  # (n_el, 3, 2)
         x, y = p[..., 0], p[..., 1]
@@ -220,12 +221,12 @@ class Discretization:
     # built on first use: a traction-only run never builds the interior blocks
     @cached_property
     def free_pattern(self) -> "BlockPattern":
-        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self)
+        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self.coords, self)
 
     # interior and trace nodes are free: these blocks are gathered from the free block's data
     @cached_property
     def interior_pattern(self) -> "BlockPattern":
-        return self.free_pattern.sub_block(BlockPattern.ordered(self._node_graph(), self.interior_nodes))
+        return self.free_pattern.sub_block(BlockPattern.ordered(self._node_graph(), self.interior_nodes, self.coords))
 
     @cached_property
     def coupling_pattern(self) -> "BlockPattern":
@@ -293,6 +294,36 @@ def _fill_reducing_order(graph: sp.csr_matrix) -> np.ndarray:
     return order
 
 
+# a block of more nodes is ordered by nested dissection, which factors in a
+# fifth fewer operations than the minimum-degree order at h=0.02 (7 854
+# nodes) but 6-15% more at h=0.05-0.06 (909-1 257 nodes)
+DISSECTION_MIN_NODES = 4096
+DISSECTION_LEAF = 128  # a part of at most this many nodes takes the minimum-degree order
+
+
+def _dissection_order(graph: sp.csr_matrix, xy: np.ndarray) -> np.ndarray:
+    """Positions of the nodes of a block's node graph in a geometric
+    nested-dissection order, given the nodes' coordinates xy.
+
+    A part is split at the median of its longer coordinate extent.  Its left
+    nodes with a right neighbour separate the two sides and go last, after
+    the order of each side.  A part of at most DISSECTION_LEAF nodes, or one
+    whose left side comes out empty, takes `_fill_reducing_order`.
+    """
+    def order(part):
+        sub = graph[part][:, part]
+        if len(part) > DISSECTION_LEAF:
+            c = xy[part]
+            c = c[:, np.argmax(np.ptp(c, axis=0))]
+            left = c < np.median(c)  # never every node: the largest is not below the median
+            if left.any():
+                sep = left & (sub @ (~left).astype(np.intp) > 0)
+                return np.concatenate([order(part[left & ~sep]), order(part[~left]), part[sep]])
+        return part[_fill_reducing_order(sub)]
+
+    return order(np.arange(len(xy)))
+
+
 class BlockPattern:
     """CSR pattern of one stiffness block, column indices sorted in each row.
 
@@ -347,11 +378,13 @@ class BlockPattern:
         release_free_heap()  # the build's temporaries are gone: return their storage to the OS
 
     @classmethod
-    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, disc=None) -> "BlockPattern":
-        """The square block on nodes, rows and columns in the fill-reducing
-        order of its node graph."""
-        nodes = nodes[_fill_reducing_order(graph[nodes][:, nodes])]
-        return cls(graph, nodes, nodes, disc)
+    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, coords: np.ndarray, disc=None) -> "BlockPattern":
+        """The square block on nodes, rows and columns in a fill-reducing
+        order of its node graph: nested dissection by the node coordinates
+        above DISSECTION_MIN_NODES nodes, minimum degree up to it."""
+        sub = graph[nodes][:, nodes]
+        order = _dissection_order(sub, coords[nodes]) if len(nodes) > DISSECTION_MIN_NODES else _fill_reducing_order(sub)
+        return cls(graph, nodes[order], nodes[order], disc)
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)

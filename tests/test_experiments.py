@@ -721,10 +721,13 @@ class TestCli:
              ["truth", "data_mesh"]),
             ({"kind": "forward", "truth": {"type": "constant", "lam": 1e7, "mu": 7}}, ["truth", "lam", "1000000.0"]),
             ({"kind": "forward", "truth": {"type": "radial-mu", "lam": 1e-9}}, ["truth", "lam", "1e-06"]),
+            ({"kind": "forward", "truth": {"type": "file", "path": "missing/field.txt"}},
+             ["truth file", "missing/field.txt"]),
         ],
-        ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box"],
+        ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
+        monkeypatch.chdir(tmp_path)  # where no truth file exists
         monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**config, "target_h": 0.3}))

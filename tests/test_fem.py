@@ -309,14 +309,18 @@ class TestOrderingReuse:
             assert np.array_equal(X, Y)
             assert not np.array_equal(X, Z)
 
-    @pytest.mark.parametrize("arc", ARCS)
-    def test_node_order_fill_at_most_dof_search(self, arc):
-        """On the default mesh, the node-graph order of each square block
-        fills no more than SuperLU's own symmetric-mode search on the
-        block's dofs.  Both are minimum-degree heuristics and not ranked at
-        every size: at h=0.2 the dof-level search fills the free block 1.5%
-        (example3 arc) to 3.4% (lower half) less."""
-        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+    @pytest.mark.parametrize(
+        "arc, h", [(arc, h) for h in (0.08, 0.02) for arc in ARCS], ids=["arc0", "arc1", "arc0-h0.02", "arc1-h0.02"]
+    )
+    def test_node_order_fill_at_most_dof_search(self, arc, h):
+        """On the default and the finest benchmark mesh, the node-graph order
+        of each square block fills no more than SuperLU's own symmetric-mode
+        search on the block's dofs.  The minimum-degree orders are not ranked
+        at every size: at h=0.2 the dof-level search fills the free block
+        1.5% (example3 arc) to 3.4% (lower half) less.  At h=0.02 the blocks
+        are dissected, which the minimum-degree order of the nodes was not
+        enough for on the example3 arc (1.91M entries against 1.89M)."""
+        mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
         solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(32)))
         disc = solver.disc
         for K, pattern, lu in [
@@ -329,6 +333,56 @@ class TestOrderingReuse:
                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
             assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+    @pytest.mark.parametrize("h", [0.2, 0.08, 0.03])
+    @pytest.mark.parametrize("arc", [*ARCS, (0.3, 5.0)])
+    def test_blocks_up_to_the_threshold_keep_minimum_degree_order(self, h, arc):
+        """Up to DISSECTION_MIN_NODES nodes a block keeps the minimum-degree
+        order of its node graph, so every mesh at h >= 0.03 factors and
+        solves as before; h=0.03 has the largest such free block (3 421 nodes
+        on the lower half)."""
+        disc = discretization(partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc)))
+        graph = disc._node_graph()
+        for pattern, nodes in [(disc.free_pattern, disc.free_nodes), (disc.interior_pattern, disc.interior_nodes)]:
+            assert len(nodes) <= fem.DISSECTION_MIN_NODES
+            mmd = nodes[fem._fill_reducing_order(graph[nodes][:, nodes])]
+            assert np.array_equal(pattern.rows, fem._node_dofs(mmd))
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_fine_blocks_are_dissected(self, arc):
+        """At h=0.02 each block is in nested-dissection order: a permutation
+        of its nodes, the same on a fresh mesh from the same inputs, and a
+        factor with fewer L+U entries than the same block laid out in the
+        minimum-degree order."""
+        def fresh_mesh():
+            return partition_boundary(generate_disk_mesh(0.02), BoundaryPartitionSpec(*arc))
+
+        mesh = fresh_mesh()
+        solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(33)))
+        disc, again = solver.disc, discretization(fresh_mesh())
+        assert len(disc.interior_nodes) > fem.DISSECTION_MIN_NODES
+        assert np.array_equal(np.sort(disc.free_pattern.rows), fem._node_dofs(disc.free_nodes))
+        assert np.array_equal(disc.free_pattern.rows, again.free_pattern.rows)
+        assert np.array_equal(disc.interior_pattern.rows, again.interior_pattern.rows)
+        graph = disc._node_graph()
+        for block, pattern, nodes in [
+            (solver.free, disc.free_pattern, disc.free_nodes),
+            (solver.interior, disc.interior_pattern, disc.interior_nodes),
+        ]:
+            at = np.zeros(disc.n_dofs, dtype=np.intp)
+            at[pattern.rows] = np.arange(len(pattern.rows))
+            mmd = at[fem._node_dofs(nodes[fem._fill_reducing_order(graph[nodes][:, nodes])])]
+            lu = fem._factor_spd(block.K[mmd][:, mmd])
+            assert block.factor.L.nnz + block.factor.U.nnz < lu.L.nnz + lu.U.nnz
+
+    def test_dissection_ends_where_a_side_comes_out_empty(self, monkeypatch):
+        """Three of four nodes sit at the smallest x, which is then the
+        median: no node lies left of it, and the part takes the
+        minimum-degree order instead of being split again without end."""
+        monkeypatch.setattr(fem, "DISSECTION_LEAF", 2)
+        xy = np.array([[0.0, 0.0], [0.0, 0.1], [0.0, 0.2], [1.0, 0.0]])
+        graph = sp.csr_matrix(np.ones((4, 4), dtype=np.int8))
+        assert np.array_equal(fem._dissection_order(graph, xy), fem._fill_reducing_order(graph))
 
 
 @pytest.mark.parametrize("arc", ARCS)

@@ -221,18 +221,57 @@ class Discretization:
     # built on first use: a traction-only run never builds the interior blocks
     @cached_property
     def free_pattern(self) -> "BlockPattern":
-        return BlockPattern.ordered(self._node_graph(), self.free_nodes, self.coords, self)
+        """The free block, with its stiffness maps: a field's entries on and
+        above the diagonal are `lam_map @ lam + mu_map @ mu`, each summing
+        its elements in ascending order, and `source` reads each entry, or
+        below the diagonal its mirror, off that product."""
+        graph = self._node_graph()
+        nodes = _block_order(graph, self.free_nodes, self.coords)
+        # two dofs couple when their nodes share an element: the node
+        # adjacency of the block, each entry widened to a 2x2 dof block
+        block = sp.kron(graph[nodes][:, nodes].sorted_indices(), np.ones((2, 2), dtype=np.int8), format="csr")
+        free = BlockPattern(_node_dofs(nodes), _node_dofs(nodes), block)
+        positions = free.positions()
+        # a mirror sits in a later row, so the upper one of the two has the smaller data index
+        free.source = np.minimum(positions.data, positions.T.tocsr().sorted_indices().data).astype(np.int32)
+        pos = np.full(graph.shape[0], -1, dtype=np.int32)
+        pos[nodes] = np.arange(len(nodes))
+        dofs = (2 * pos[self.triangles][:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 6)  # negative outside the block
+        # one map entry per element e and element-matrix entry (a, b) on or
+        # above the diagonal, filed in the slot of block entry (dofs[e, a], dofs[e, b])
+        upper = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
+        rows, cols, e, a, b = (t[upper] for t in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :],
+                               np.arange(len(dofs), dtype=np.int32)[:, None, None], *np.indices((6, 6), dtype=np.int8)))
+        slot = positions[rows, cols].A1
+        del positions, upper, rows, cols
+        order = np.argsort(slot, kind="stable")  # each slot's elements still ascend
+        indices, a, b = e[order], a[order], b[order]
+        indptr = np.bincount(slot + 1, minlength=free.nnz + 1).cumsum().astype(np.int32)  # the entries in lower slots
+        del e, slot, order
+        # row 0 holds each element dof's own barycentric-gradient component, row 1 the other one
+        gh = np.array([[self.bx, self.by], [self.by, self.bx]]).transpose(0, 2, 3, 1).reshape(2, -1)
+        at = 6 * indices.astype(np.intp) + a  # the flat index of (e, a) in (n_el, 6), then of (e, b)
+        lam, mu = coef = gh[:, at]
+        at += b - a
+        for c, t in zip(coef, gh):
+            c *= t[at]
+        del at
+        coef *= self.area[indices]
+        mu += np.where(a % 2 == b % 2, 2.0 * lam, 0.0)
+        free.lam_map, free.mu_map = (sp.csr_matrix((d, indices, indptr), shape=(free.nnz, len(dofs))) for d in coef)
+        release_free_heap()  # the build's temporaries are gone: return their storage to the OS
+        return free
 
-    # interior and trace nodes are free: these blocks are gathered from the free block's data
+    # interior and trace nodes are free: these blocks are sliced off the free block
     @cached_property
     def interior_pattern(self) -> "BlockPattern":
-        return self.free_pattern.sub_block(BlockPattern.ordered(self._node_graph(), self.interior_nodes, self.coords))
+        nodes = _block_order(self._node_graph(), self.interior_nodes, self.coords)
+        return self.free_pattern.sub_block(nodes, nodes)
 
     @cached_property
     def coupling_pattern(self) -> "BlockPattern":
         """The interior x trace block, rows in the interior block's order."""
-        rows, cols = self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
-        return self.free_pattern.sub_block(BlockPattern(self._node_graph(), rows, cols))
+        return self.free_pattern.sub_block(self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2)
 
     @cached_property
     def strain_map(self) -> sp.csr_matrix:
@@ -301,105 +340,60 @@ DISSECTION_MIN_NODES = 4096
 DISSECTION_LEAF = 128  # a part of at most this many nodes takes the minimum-degree order
 
 
-def _dissection_order(graph: sp.csr_matrix, xy: np.ndarray) -> np.ndarray:
-    """Positions of the nodes of a block's node graph in a geometric
-    nested-dissection order, given the nodes' coordinates xy.
+def _block_order(graph: sp.csr_matrix, nodes: np.ndarray, xy: np.ndarray,
+                 dissect_above: int = DISSECTION_MIN_NODES) -> np.ndarray:
+    """The nodes in a fill-reducing elimination order of their block of the
+    node graph, given the coordinates xy of all nodes.
 
-    A part is split at the median of its longer coordinate extent.  Its left
-    nodes with a right neighbour separate the two sides and go last, after
-    the order of each side.  A part of at most DISSECTION_LEAF nodes, or one
-    whose left side comes out empty, takes `_fill_reducing_order`.
+    A block of more than dissect_above nodes is split at the median of its
+    longer coordinate extent.  Its left nodes with a right neighbour
+    separate the two sides and go last, after the order of each side, and
+    each side of more than DISSECTION_LEAF nodes is split again.  A smaller
+    block, or one whose left side comes out empty, takes
+    `_fill_reducing_order` (minimum degree).
     """
-    def order(part):
-        sub = graph[part][:, part]
-        if len(part) > DISSECTION_LEAF:
-            c = xy[part]
-            c = c[:, np.argmax(np.ptp(c, axis=0))]
-            left = c < np.median(c)  # never every node: the largest is not below the median
-            if left.any():
-                sep = left & (sub @ (~left).astype(np.intp) > 0)
-                return np.concatenate([order(part[left & ~sep]), order(part[~left]), part[sep]])
-        return part[_fill_reducing_order(sub)]
-
-    return order(np.arange(len(xy)))
+    sub = graph[nodes][:, nodes]
+    if len(nodes) > dissect_above:
+        c = xy[nodes]
+        c = c[:, np.argmax(np.ptp(c, axis=0))]
+        left = c < np.median(c)  # never every node: the largest is not below the median
+        if left.any():
+            sep = left & (sub @ (~left).astype(np.intp) > 0)
+            return np.concatenate([_block_order(graph, nodes[left & ~sep], xy, DISSECTION_LEAF),
+                                   _block_order(graph, nodes[~left], xy, DISSECTION_LEAF), nodes[sep]])
+    return nodes[_fill_reducing_order(sub)]
 
 
 class BlockPattern:
     """CSR pattern of one stiffness block, column indices sorted in each row.
 
-    Row 2p, 2p + 1 of the block are the x, y dofs of row_nodes[p] (`rows`
-    lists them), and likewise for the columns (`cols`).  Given the
-    Discretization, a square block gets its stiffness maps, block entries x
-    elements: a field's entries on and above the diagonal are `lam_map @ lam
-    + mu_map @ mu`, each summing its elements in ascending order, and
-    `from_upper` is the data index of each entry or, below the diagonal, of
-    its mirror, as read off `positions`.  A block made by `sub_block` carries
-    the data indices of its entries in the block it came from (`source`).
+    Row 2p, 2p + 1 of the block are the x, y dofs of its p-th row node
+    (`rows` lists them), and likewise for the columns (`cols`).  `source`
+    is the data index of each entry, in CSR order, in the array `gather`
+    reads the block's data from.
     """
 
-    def __init__(self, graph: sp.csr_matrix, row_nodes: np.ndarray, col_nodes: np.ndarray, disc=None):
-        self.rows, self.cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
-        # two dofs couple when their nodes share an element: the node
-        # adjacency of the block, each entry widened to a 2x2 dof block
-        nodes = graph[row_nodes][:, col_nodes].sorted_indices()
-        block = sp.kron(nodes, np.ones((2, 2), dtype=np.int8), format="csr")
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, block: sp.csr_matrix, source: np.ndarray | None = None):
+        self.rows, self.cols, self.source = rows, cols, source
         self.shape, self.nnz, self.indices, self.indptr = block.shape, block.nnz, block.indices, block.indptr
-        if disc is None:
-            return
 
-        positions = self.positions()
-        # a mirror sits in a later row, so the upper one of the two has the smaller data index
-        self.from_upper = np.minimum(positions.data, positions.T.tocsr().sorted_indices().data).astype(np.int32)
-        pos = np.full(graph.shape[0], -1, dtype=np.int32)
-        pos[row_nodes] = np.arange(len(row_nodes))
-        dofs = (2 * pos[disc.triangles][:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 6)  # negative outside the block
-        # one map entry per element e and element-matrix entry (a, b) on or
-        # above the diagonal, filed in the slot of block entry (dofs[e, a], dofs[e, b])
-        upper = (dofs[:, :, None] >= 0) & (dofs[:, :, None] <= dofs[:, None, :])
-        rows, cols, e, a, b = (t[upper] for t in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :],
-                               np.arange(len(dofs), dtype=np.int32)[:, None, None], *np.indices((6, 6), dtype=np.int8)))
-        slot = positions[rows, cols].A1
-        del positions, upper, rows, cols
-        order = np.argsort(slot, kind="stable")  # each slot's elements still ascend
-        indices, a, b = e[order], a[order], b[order]
-        indptr = np.bincount(slot + 1, minlength=self.nnz + 1).cumsum().astype(np.int32)  # the entries in lower slots
-        del e, slot, order
-        # row 0 holds each element dof's own barycentric-gradient component, row 1 the other one
-        gh = np.array([[disc.bx, disc.by], [disc.by, disc.bx]]).transpose(0, 2, 3, 1).reshape(2, -1)
-        at = 6 * indices.astype(np.intp) + a  # the flat index of (e, a) in (n_el, 6), then of (e, b)
-        lam, mu = coef = gh[:, at]
-        at += b - a
-        for c, t in zip(coef, gh):
-            c *= t[at]
-        del at
-        coef *= disc.area[indices]
-        mu += np.where(a % 2 == b % 2, 2.0 * lam, 0.0)
-        self.lam_map, self.mu_map = (sp.csr_matrix((d, indices, indptr), shape=(self.nnz, len(dofs))) for d in coef)
-        release_free_heap()  # the build's temporaries are gone: return their storage to the OS
-
-    @classmethod
-    def ordered(cls, graph: sp.csr_matrix, nodes: np.ndarray, coords: np.ndarray, disc=None) -> "BlockPattern":
-        """The square block on nodes, rows and columns in a fill-reducing
-        order of its node graph: nested dissection by the node coordinates
-        above DISSECTION_MIN_NODES nodes, minimum degree up to it."""
-        sub = graph[nodes][:, nodes]
-        order = _dissection_order(sub, coords[nodes]) if len(nodes) > DISSECTION_MIN_NODES else _fill_reducing_order(sub)
-        return cls(graph, nodes[order], nodes[order], disc)
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    def gather(self, data: np.ndarray) -> sp.csr_matrix:
+        """The block whose entries are data[source]."""
+        return sp.csr_matrix((data[self.source], self.indices, self.indptr), shape=self.shape)
 
     def positions(self) -> sp.csr_matrix:
         """The block with each entry's data index as its value."""
-        return self.matrix(np.arange(self.nnz))
+        return sp.csr_matrix((np.arange(self.nnz), self.indices, self.indptr), shape=self.shape)
 
-    def sub_block(self, sub: "BlockPattern") -> "BlockPattern":
-        """sub, a block on some rows and columns of this square block, with
-        the data index here of each of its entries, in its CSR order (`source`)."""
+    def sub_block(self, row_nodes: np.ndarray, col_nodes: np.ndarray) -> "BlockPattern":
+        """The block on some rows and columns of this square block, its
+        `source` each entry's data index here: one slice of `positions`,
+        which keeps the explicit zero of data index 0."""
         pos = np.zeros(self.rows.max() + 1, dtype=np.int64)
         pos[self.rows] = np.arange(len(self.rows))
-        sub.source = self.positions()[pos[sub.rows]][:, pos[sub.cols]].sorted_indices().data
-        return sub
+        rows, cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
+        block = self.positions()[pos[rows]][:, pos[cols]].sorted_indices()
+        return BlockPattern(rows, cols, block, block.data)
 
 
 def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -512,17 +506,16 @@ class ElasticitySolver:
     def free(self) -> SpdBlock:
         p = self.disc.free_pattern
         # two products: one over the stacked [lam; mu] rounds differently
-        data = p.lam_map @ self.field.lam + p.mu_map @ self.field.mu
-        return SpdBlock(p.matrix(data[p.from_upper]))
+        return SpdBlock(p.gather(p.lam_map @ self.field.lam + p.mu_map @ self.field.mu))
 
     @cached_property
     def interior(self) -> SpdBlock:
-        return SpdBlock(self.disc.interior_pattern.matrix(self.free.K.data[self.disc.interior_pattern.source]))
+        return SpdBlock(self.disc.interior_pattern.gather(self.free.K.data))
 
     @cached_property
     def K_it(self) -> sp.csr_matrix:
         """Coupling of interior rows to disc.trace_dofs columns."""
-        return self.disc.coupling_pattern.matrix(self.free.K.data[self.disc.coupling_pattern.source])
+        return self.disc.coupling_pattern.gather(self.free.K.data)
 
     def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
         """X as a float block on the Neumann trace dofs, or FemError."""

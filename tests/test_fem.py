@@ -141,7 +141,10 @@ def _blocks(solver):
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
+    # at h=0.02 on the lower half the free order starts at an interior node,
+    # so the interior block's first entry reads data index 0 of the free
+    # block's position matrix, an explicit zero its slice must keep
+    @pytest.mark.parametrize("h", [0.25, 0.1, 0.05, 0.02])
     @pytest.mark.parametrize("arc", ARCS)
     def test_blocks_match_coo_reference(self, h, arc):
         mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
@@ -378,11 +381,13 @@ class TestOrderingReuse:
     def test_dissection_ends_where_a_side_comes_out_empty(self, monkeypatch):
         """Three of four nodes sit at the smallest x, which is then the
         median: no node lies left of it, and the part takes the
-        minimum-degree order instead of being split again without end."""
+        minimum-degree order instead of being split again without end.
+        The threshold is passed, since its default is bound at definition."""
         monkeypatch.setattr(fem, "DISSECTION_LEAF", 2)
         xy = np.array([[0.0, 0.0], [0.0, 0.1], [0.0, 0.2], [1.0, 0.0]])
         graph = sp.csr_matrix(np.ones((4, 4), dtype=np.int8))
-        assert np.array_equal(fem._dissection_order(graph, xy), fem._fill_reducing_order(graph))
+        order = fem._block_order(graph, np.arange(4), xy, dissect_above=2)
+        assert np.array_equal(order, fem._fill_reducing_order(graph))
 
 
 @pytest.mark.parametrize("arc", ARCS)

@@ -169,6 +169,9 @@ def _check_truth(spec) -> None:
     """Raise ConfigError unless spec is a truth description: known type, valid keys, moduli in DEFAULT_BOUNDS."""
     if not isinstance(spec, dict):
         raise ConfigError(f"truth must be an object, got {spec!r}")
+    unread = sorted(map(str, set(spec) - {"type", "lam", "mu", "path"}))
+    if unread:
+        raise ConfigError(f"truth keys {unread} are read by no truth type")
     kind = spec.get("type", "constant")
     moduli = ()  # the Lame moduli the spec gives
     if kind == "constant":

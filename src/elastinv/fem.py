@@ -350,18 +350,18 @@ def _block_order(graph: sp.csr_matrix, nodes: np.ndarray, xy: np.ndarray,
     separate the two sides and go last, after the order of each side, and
     each side of more than DISSECTION_LEAF nodes is split again.  A smaller
     block, or one whose left side comes out empty, takes
-    `_fill_reducing_order` (minimum degree).
+    `_fill_reducing_order` (minimum degree) on its extracted graph.
     """
-    sub = graph[nodes][:, nodes]
     if len(nodes) > dissect_above:
         c = xy[nodes]
         c = c[:, np.argmax(np.ptp(c, axis=0))]
         left = c < np.median(c)  # never every node: the largest is not below the median
         if left.any():
-            sep = left & (sub @ (~left).astype(np.intp) > 0)
+            # each node's neighbours among this part's right nodes
+            sep = left & ((graph @ np.bincount(nodes[~left], minlength=graph.shape[0]))[nodes] > 0)
             return np.concatenate([_block_order(graph, nodes[left & ~sep], xy, DISSECTION_LEAF),
                                    _block_order(graph, nodes[~left], xy, DISSECTION_LEAF), nodes[sep]])
-    return nodes[_fill_reducing_order(sub)]
+    return nodes[_fill_reducing_order(graph[nodes][:, nodes])]
 
 
 class BlockPattern:
@@ -401,27 +401,19 @@ def neumann_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
 
     Size (2m, 2m) with m = len(mesh.neumann_nodes); realizes the L2 inner
     product of piecewise linear traces vanishing at the clamped interface.
-    Entries are listed edge by edge, (a, a), (b, b), (a, b), (b, a), each
-    for both components, so duplicates are summed in a fixed order.
+    The scalar edge masses summed over all nodes (a diagonal entry sums two
+    terms, so in any order alike) are sliced to the Neumann nodes, which
+    drops the clamped interface, and widened to both components.
     """
     nn = mesh.neumann_nodes
-    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    pos[nn] = np.arange(len(nn))
     a, b = mesh.neumann_edges.T
     d = mesh.nodes[b] - mesh.nodes[a]
     # row-wise dot products, the arithmetic of np.linalg.norm on one edge
     length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
-    u = pos[np.stack([a, b, a, b], axis=1)]  # (edges, 4) local entry rows
-    v = pos[np.stack([a, b, b, a], axis=1)]
     vals = np.array([2.0, 2.0, 1.0, 1.0]) * length[:, None] / 6.0
-    # an entry touching a clamped-interface node (pos -1) is dropped
-    keep = (u >= 0) & (v >= 0)
-    comp = np.array([0, 1])
-    rows = (2 * u[..., None] + comp)[keep]
-    cols = (2 * v[..., None] + comp)[keep]
-    vals = np.repeat(vals[..., None], 2, axis=2)[keep]
-    m = 2 * len(nn)
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(m, m)).tocsr()
+    rows, cols = np.stack([a, b, a, b], axis=1), np.stack([a, b, b, a], axis=1)
+    scalar = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(mesh.n_nodes,) * 2)
+    return sp.kron(scalar.tocsr()[nn][:, nn], np.eye(2), format="csr")
 
 
 def _backward_errors(A_norm: float, X: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:

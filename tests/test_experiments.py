@@ -142,6 +142,8 @@ class TestConfig:
             {"kind": "custom", "rho": [1e-4]},
             {"kind": "custom", "gradient_tolerance": None},
             {"kind": "custom", "gradient_tolerance": math.inf},
+            # a key no truth type reads, which would leave lam at its default
+            {"kind": "forward", "truth": {"type": "radial-mu", "lamda": 3.0}},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -723,8 +725,10 @@ class TestCli:
             ({"kind": "forward", "truth": {"type": "radial-mu", "lam": 1e-9}}, ["truth", "lam", "1e-06"]),
             ({"kind": "forward", "truth": {"type": "file", "path": "missing/field.txt"}},
              ["truth file", "missing/field.txt"]),
+            ({"kind": "forward", "truth": {"type": "radial-mu", "lamda": 3}}, ["truth", "lamda"]),
         ],
-        ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing"],
+        ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing",
+             "truth-key-misspelled"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
         monkeypatch.chdir(tmp_path)  # where no truth file exists

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from elastinv import fem
 from elastinv.fem import (
@@ -390,6 +391,53 @@ class TestOrderingReuse:
         assert np.array_equal(order, fem._fill_reducing_order(graph))
 
 
+def _per_part_block_order(graph, nodes, xy, dissect_above=fem.DISSECTION_MIN_NODES):
+    """Reference nested dissection that reads each part's separator off the
+    part's own extracted graph, as `fem._block_order` once did."""
+    sub = graph[nodes][:, nodes]
+    if len(nodes) > dissect_above:
+        c = xy[nodes]
+        c = c[:, np.argmax(np.ptp(c, axis=0))]
+        left = c < np.median(c)
+        if left.any():
+            sep = left & (sub @ (~left).astype(np.intp) > 0)
+            return np.concatenate([_per_part_block_order(graph, nodes[left & ~sep], xy, fem.DISSECTION_LEAF),
+                                   _per_part_block_order(graph, nodes[~left], xy, fem.DISSECTION_LEAF), nodes[sep]])
+    return nodes[fem._fill_reducing_order(sub)]
+
+
+class TestSeparators:
+    @pytest.mark.parametrize("h", [0.025, 0.02])
+    @pytest.mark.parametrize("arc", [*ARCS, (0.3, 5.0)])
+    def test_block_order_matches_per_part_reference(self, h, arc):
+        """Separators read off one product of the full node graph order the
+        dissected free and interior blocks exactly as per-part subgraphs do."""
+        disc = discretization(partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc)))
+        graph = disc._node_graph()
+        for nodes in (disc.free_nodes, disc.interior_nodes):
+            assert len(nodes) > fem.DISSECTION_MIN_NODES
+            order = fem._block_order(graph, nodes, disc.coords)
+            assert np.array_equal(order, _per_part_block_order(graph, nodes, disc.coords))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 400), leaf=st.integers(2, 24),
+           dissect_above=st.integers(2, 48), keep=st.floats(0.3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_point_sets_match_per_part_reference(self, seed, n, leaf, dissect_above, keep):
+        """On the Delaunay graph of random points, a random subset of them
+        dissected to small leaves: separators at several depths, each part's
+        nodes with neighbours outside it."""
+        rng = np.random.default_rng(seed)
+        xy = rng.random((n, 2))
+        t = Delaunay(xy).simplices
+        i, j = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+        graph = sp.csr_matrix((np.ones(len(i), dtype=np.int8), (i, j)), shape=(n, n))
+        nodes = np.flatnonzero(rng.random(n) < keep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "DISSECTION_LEAF", leaf)
+            order = fem._block_order(graph, nodes, xy, dissect_above=dissect_above)
+            assert np.array_equal(order, _per_part_block_order(graph, nodes, xy, dissect_above=dissect_above))
+
+
 @pytest.mark.parametrize("arc", ARCS)
 @given(seed=st.integers(0, 2**32 - 1), two_level=st.booleans())
 @settings(max_examples=15, deadline=None)
@@ -549,8 +597,8 @@ def _loop_boundary_mass(mesh):
     return sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
 
 
-@pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
-@pytest.mark.parametrize("arc", ARCS)
+@pytest.mark.parametrize("h", [0.25, 0.1, 0.05, 0.02])
+@pytest.mark.parametrize("arc", [*ARCS, (0.3, 5.0)])
 def test_boundary_mass_matches_loop_reference(h, arc):
     mesh = partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
     M, ref = neumann_mass_matrix(mesh), _loop_boundary_mass(mesh)

@@ -126,10 +126,11 @@ class ExperimentConfig:
         if self.truth.get("type") == "file":
             if self.data_mesh == "refine":
                 raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
-            # its row count needs the mesh, so only the file itself is checked here
+            # its row count needs the mesh: truth_field checks it
             path = Path(self.truth["path"])
             if not (path.is_file() and os.access(path, os.R_OK)):
                 raise ConfigError(f"bad truth file {path}: not a readable regular file")
+            _file_truth(path)
         if recon:
             a, b, c, d = recon.bounds
             if not (a <= initial[0] <= b and c <= initial[1] <= d):
@@ -191,6 +192,18 @@ def _check_truth(spec) -> None:
             raise ConfigError(f"{kind} truth needs a number {key} in {box[key]}, got {spec.get(key)!r}")
 
 
+def _file_truth(path) -> LameField:
+    """The (lam, mu) table of a file truth, or ConfigError unless it has two
+    columns of finite moduli in DEFAULT_BOUNDS."""
+    try:
+        data = np.loadtxt(path, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"expected rows of (lam, mu), got shape {data.shape}")
+        return LameField(data[:, 0], data[:, 1])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad truth file {path}: {exc}") from exc
+
+
 def truth_field(spec: dict, mesh: Mesh) -> LameField:
     """Sample a truth parameter description at the element centroids."""
     _check_truth(spec)
@@ -208,13 +221,10 @@ def truth_field(spec: dict, mesh: Mesh) -> LameField:
         )
         return LameField(np.maximum(lam, 1e-3), np.maximum(r, 1e-3))
     # the "file" type: one (lam, mu) row per element
-    try:
-        data = np.loadtxt(spec["path"])
-        if data.shape != (mesh.n_elements, 2):
-            raise ValueError(f"expected {mesh.n_elements} rows of (lam, mu), got shape {data.shape}")
-        return LameField(data[:, 0], data[:, 1])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad truth file {spec['path']}: {exc}") from exc
+    field = _file_truth(spec["path"])
+    if len(field.lam) != mesh.n_elements:
+        raise ConfigError(f"bad truth file {spec['path']}: expected {mesh.n_elements} rows, got {len(field.lam)}")
+    return field
 
 
 # -- bundle helpers --------------------------------------------------------

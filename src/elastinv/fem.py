@@ -274,6 +274,11 @@ class Discretization:
         return self.free_pattern.sub_block(self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2)
 
     @cached_property
+    def trace_rows(self) -> np.ndarray:
+        """The rows of the free block that hold trace_dofs, in their order: a traction load's right-hand side."""
+        return self.free_pattern.row_positions(self.trace_dofs)
+
+    @cached_property
     def strain_map(self) -> sp.csr_matrix:
         """Row c n_el + e sums bx u_x, by u_y, by u_x or bx u_y (c = 0..3) over
         element e's nodes, in its node order."""
@@ -385,14 +390,18 @@ class BlockPattern:
         """The block with each entry's data index as its value."""
         return sp.csr_matrix((np.arange(self.nnz), self.indices, self.indptr), shape=self.shape)
 
+    def row_positions(self, dofs: np.ndarray) -> np.ndarray:
+        """The block rows of dofs, each of which must be one of `rows`."""
+        pos = np.zeros(self.rows.max() + 1, dtype=np.intp)
+        pos[self.rows] = np.arange(len(self.rows))
+        return pos[dofs]
+
     def sub_block(self, row_nodes: np.ndarray, col_nodes: np.ndarray) -> "BlockPattern":
         """The block on some rows and columns of this square block, its
         `source` each entry's data index here: one slice of `positions`,
         which keeps the explicit zero of data index 0."""
-        pos = np.zeros(self.rows.max() + 1, dtype=np.int64)
-        pos[self.rows] = np.arange(len(self.rows))
         rows, cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
-        block = self.positions()[pos[rows]][:, pos[cols]].sorted_indices()
+        block = self.positions()[self.row_positions(rows)][:, self.row_positions(cols)].sorted_indices()
         return BlockPattern(rows, cols, block, block.data)
 
 
@@ -463,19 +472,22 @@ class SpdBlock:
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """K^-1 B, each column within BACKWARD_ERROR_TOL, or FemError."""
-        # the factorization alone solves to rounding level, so only a block
-        # with a column past the tolerance takes one refinement step, and is
-        # then judged again
+        # the factorization alone solves to rounding level, so only a column
+        # past the tolerance takes one refinement step, and is then judged
+        # again; the others stay as solved, so no column depends on its
+        # neighbours.  The refinement keeps the block's column positions, up
+        # to the last failed column
         X = self.factor.solve(B)
         R = B - self.K @ X
         eta = _backward_errors(self.norm, X, B, R)
-        if not np.all(eta <= BACKWARD_ERROR_TOL):
-            X += self.factor.solve(R)
-            eta = _backward_errors(self.norm, X, B, B - self.K @ X)
-        bad = ~(eta <= BACKWARD_ERROR_TOL)  # NaN counts as failed
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise FemError(f"linear solve failed, backward error {eta[j]:.3e} in column {j}")
+        bad = np.flatnonzero(~(eta <= BACKWARD_ERROR_TOL))  # NaN counts as failed
+        if len(bad):
+            X[:, bad] += self.factor.solve(R[:, : bad[-1] + 1])[:, bad]
+            Xb, Bb = X[:, bad], B[:, bad]
+            eta[bad] = _backward_errors(self.norm, Xb, Bb, Bb - self.K @ Xb)
+            bad = np.flatnonzero(~(eta <= BACKWARD_ERROR_TOL))
+        if len(bad):
+            raise FemError(f"linear solve failed, backward error {eta[bad[0]]:.3e} in column {bad[0]}")
         return X
 
 
@@ -522,11 +534,11 @@ class ElasticitySolver:
         of load coefficients on disc.trace_dofs, clamped part fixed."""
         disc = self.disc
         coeffs = self._trace_block(coeffs, "load coefficients")
-        B = np.zeros((disc.n_dofs, coeffs.shape[1]))
-        B[disc.trace_dofs] = disc.boundary_mass @ coeffs
-        U = np.zeros_like(B)
         rows = disc.free_pattern.rows
-        U[rows] = self.free.solve(B[rows])
+        B = np.zeros((len(rows), coeffs.shape[1]))  # on the free block's rows
+        B[disc.trace_rows] = disc.boundary_mass @ coeffs
+        U = np.zeros((disc.n_dofs, coeffs.shape[1]))
+        U[rows] = self.free.solve(B)
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:

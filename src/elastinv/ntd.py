@@ -23,10 +23,12 @@ from .fem import (
 from .mesh import Mesh
 
 ORDER_TOL = 1e-8     # slack for inequalities obtained through eigen-solves
-# hat loads are solved NTD_BLOCK columns at a time: at h=0.08 one block over
-# all 2m columns was no faster and raised peak RSS by ~5 MB over column-wise
-# solves, while 16-column blocks keep it at the column-wise level
-NTD_BLOCK = 16
+# hat loads are solved NTD_BLOCK columns at a time; the factor solves column
+# by column, so the width moves no bit.  At h=0.08 (2m = 72), the benchmark's
+# ntd-campaign (6 runs each, 2-core x86-64, BLAS on one thread) read a median
+# campaign of 0.341 / 0.325 / 0.322 / 0.344 s and peak RSS of 77.5 / 77.9 /
+# 78.7 / 80.6 MB for widths 16 / 24 / 36 / 72
+NTD_BLOCK = 24
 
 
 class OrderError(ValueError):

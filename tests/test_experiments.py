@@ -742,6 +742,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(name in err for name in names)
 
+    @pytest.mark.parametrize(
+        "row, names",
+        [("1.0 2.0 3.0\n", ["(50, 3)"]), ("1.0 nan\n", ["finite"]), ("1.0 two\n", ["'two'"]),
+         ("1.0 -2.0\n", ["mu", "bounds"])],
+        ids=["three-columns", "nan", "word", "negative-modulus"],
+    )
+    def test_malformed_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, row, names):
+        """A file truth's table is read with the config; only its row count waits for the mesh."""
+        experiments._partitioned_mesh.cache_clear()  # a cached mesh would skip the patched generator
+        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+        table = tmp_path / "field.txt"
+        table.write_text(row * 50)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "truth": {"type": "file", "path": str(table)}}))
+        out = tmp_path / "out"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(name in err for name in ["truth file", str(table), *names])
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
     def test_out_that_cannot_be_made_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, sub):
         monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))

@@ -695,6 +695,25 @@ class TestBlockSolves:
         assert factor.calls == 2
         assert np.abs(refined - exact).max() <= 1e-14 * np.abs(exact).max()
 
+    def test_refinement_touches_only_the_failed_column(self, medium_mesh, field_37, default_loads):
+        """The other columns keep the first solve's bits, and the refinement
+        solve stops at the failed column."""
+        solver = ElasticitySolver(medium_mesh, field_37)
+        coeffs = load_coefficients(medium_mesh, default_loads)
+        exact = solver.solve_neumann(coeffs)
+        perturbing, widths = self.Perturbing(solver.free.factor, 1e-10, 1), []
+
+        class Recording:
+            def solve(self, b):
+                widths.append(b.shape[1])
+                return perturbing.solve(b)
+
+        solver.free.factor = Recording()
+        refined = solver.solve_neumann(coeffs)
+        assert widths == [4, 2]
+        assert refined[:, [0, 2, 3]].tobytes() == exact[:, [0, 2, 3]].tobytes()
+        assert np.abs(refined - exact).max() <= 1e-14 * np.abs(exact).max()
+
     def test_refined_block_is_judged_again(self, medium_mesh, field_37, default_loads):
         # one refinement step leaves a column perturbed on every solve 1e-12 off
         solver = ElasticitySolver(medium_mesh, field_37)

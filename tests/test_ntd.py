@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from elastinv import ntd
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
-from elastinv.mesh import generate_disk_mesh
+from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from elastinv.ntd import (
     ORDER_TOL,
     QUADRANT_BOUNDS,
@@ -80,6 +83,22 @@ def test_block_build_equals_columns(medium_mesh):
         g[j] = 1.0
         col = solver.solve_neumann(g)[solver.disc.trace_dofs, 0]
         assert np.abs(op.matrix[:, j] - col).max() <= 1e-13 * np.abs(col).max()
+
+
+@pytest.mark.parametrize(
+    "arc, n_loads", [((math.pi, 2.0 * math.pi), 36), ((math.pi / 2.0, math.pi), 54)], ids=["lower-half", "upper-left"]
+)
+def test_block_width_leaves_the_matrix_bit_identical(monkeypatch, arc, n_loads):
+    """The factor solves a block column by column, so each hat load's trace
+    is the same bits whichever loads share its block."""
+    mesh = partition_boundary(generate_disk_mesh(0.16), BoundaryPartitionSpec(*arc))
+    assert 2 * len(mesh.neumann_nodes) == n_loads
+    field = random_field(mesh, np.random.default_rng(13))
+    matrices = []
+    for width in (1, 16, 24, n_loads):
+        monkeypatch.setattr(ntd, "NTD_BLOCK", width)
+        matrices.append(ntd_of(mesh, field).matrix.tobytes())
+    assert matrices[1:] == matrices[:-1]
 
 
 class TestOrderedPair:

@@ -94,19 +94,22 @@ def test_noisy_row_stops_before_the_cap(tracing):
 
 
 def test_ntd_hat_load_solves_are_counted(tracing):
-    config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
-    m = len(build_mesh(config, config.target_h).neumann_nodes)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        tracer.begin_op()
-        experiments.run_experiment(config)
-        tracer.end_op()
-    finally:
-        tracer.uninstall()
-    metrics, _ = tracing.layer_metrics(tracer)
-    # one NtD per field of the pair, each solving its 2m hat loads in blocks
-    assert metrics["fem.solve_neumann_calls"]["value"] == 2 * math.ceil(2 * m / ntd.NTD_BLOCK)
+    # the 2m hat loads fill one block at h=0.3 and span several at h=0.16
+    for target_h, n_loads in ((0.3, 18), (0.16, 36)):
+        config = ExperimentConfig(kind="stability", target_h=target_h, n_pairs=1)
+        m = len(build_mesh(config, config.target_h).neumann_nodes)
+        assert 2 * m == n_loads
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op()
+            experiments.run_experiment(config)
+            tracer.end_op()
+        finally:
+            tracer.uninstall()
+        metrics, _ = tracing.layer_metrics(tracer)
+        # one NtD per field of the pair, each solving its 2m hat loads in blocks
+        assert metrics["fem.solve_neumann_calls"]["value"] == 2 * math.ceil(2 * m / ntd.NTD_BLOCK)
 
 
 def test_factor_fill_is_counted_per_field(tracing):

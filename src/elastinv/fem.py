@@ -233,7 +233,7 @@ class Discretization:
         free = BlockPattern(_node_dofs(nodes), _node_dofs(nodes), block)
         positions = free.positions()
         # a mirror sits in a later row, so the upper one of the two has the smaller data index
-        free.source = np.minimum(positions.data, positions.T.tocsr().sorted_indices().data).astype(np.int32)
+        free.source = np.minimum(positions.data, positions.T.tocsr().sorted_indices().data)
         pos = np.full(graph.shape[0], -1, dtype=np.int32)
         pos[nodes] = np.arange(len(nodes))
         dofs = (2 * pos[self.triangles][:, :, None] + np.arange(2, dtype=np.int32)).reshape(-1, 6)  # negative outside the block

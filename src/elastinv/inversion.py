@@ -13,6 +13,7 @@ parameterization's admissible box.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -149,12 +150,10 @@ def kohn_vogelius(
     d_lam = (div_d**2 - div_n**2) * area
     d_mu = 2.0 * (strain_dot(strain_d) - strain_dot(strain_n)) * area
     j = 0.0
-    g_lam = np.zeros(mesh.n_elements)
-    g_mu = np.zeros(mesh.n_elements)
-    for k in range(len(measurements.pairs)):
-        j += float(np.dot(area, energy[k]))
-        g_lam += d_lam[k]
-        g_mu += d_mu[k]
+    for e in energy:
+        j += float(np.dot(area, e))
+    # numpy sums axis 0 row by row: the same bits as adding the loads in turn
+    g_lam, g_mu = d_lam.sum(axis=0), d_mu.sum(axis=0)
     if rho:
         j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
         g_lam += rho * field.lam * area
@@ -196,8 +195,11 @@ class InversionRun:
     grad_history: list[float] = dc_field(default_factory=list)
     step_history: list[float] = dc_field(default_factory=list)
     final_field: LameField | None = None
-    converged: bool = False
     reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "gradient tolerance reached"
 
     @property
     def iterations(self) -> int:
@@ -205,18 +207,16 @@ class InversionRun:
 
 
 class _LBfgsDirection:
-    """Two-loop recursion over the last LBFGS_MEMORY curvature pairs."""
+    """Two-loop recursion over the last LBFGS_MEMORY pairs that pass the curvature condition."""
 
     def __init__(self):
-        self.s: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
+        self.s: deque[np.ndarray] = deque(maxlen=LBFGS_MEMORY)
+        self.y: deque[np.ndarray] = deque(maxlen=LBFGS_MEMORY)
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        self.s.append(s)
-        self.y.append(y)
-        if len(self.s) > LBFGS_MEMORY:
-            self.s.pop(0)
-            self.y.pop(0)
+        if float(s @ y) > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
+            self.s.append(s)
+            self.y.append(y)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         q = g.copy()
@@ -247,8 +247,8 @@ def bfgs_minimize(
     x stacks the region values of lam and then of mu.  Every trial point is
     clipped to the parameterization's box [lower, upper].  The Armijo test
     uses the slope of the clipped step, and curvature pairs that fail the
-    curvature condition are skipped.  When the L-BFGS direction finds no
-    Armijo step, the memory is dropped and steepest descent is tried once.
+    curvature condition are skipped.  When the L-BFGS direction gives no descent
+    or no Armijo step, the memory is dropped and steepest descent tried once.
     The gradient test reads the projected gradient: g without the components
     that point out of the box where x sits at a bound.  The run stops at the
     first iterate with J <= config.target_j, when that is set.
@@ -287,7 +287,7 @@ def bfgs_minimize(
         run.j_history.append(j)
         run.grad_history.append(gnorm)
         if gnorm <= config.gradient_tolerance:
-            run.converged, run.reason = True, "gradient tolerance reached"
+            run.reason = "gradient tolerance reached"
         elif config.target_j is not None and j <= config.target_j:
             run.reason = "noise floor reached"
         elif run.iterations == config.max_iterations:
@@ -296,13 +296,9 @@ def bfgs_minimize(
             break
 
         d = -lbfgs.apply(g)
-        if d @ g >= 0.0:
-            # not a descent direction; reset to steepest descent
-            d = -g
-            lbfgs = _LBfgsDirection()
-        found = line_search(d)
+        found = line_search(d) if d @ g < 0.0 else None
         if found is None and lbfgs.s:
-            # stale curvature pairs: restart from steepest descent once
+            # stale curvature pairs, no descent or no Armijo step: restart from steepest descent once
             lbfgs = _LBfgsDirection()
             found = line_search(-g)
         if found is None:
@@ -310,10 +306,7 @@ def bfgs_minimize(
             break
 
         alpha, x_new, (j, g_new, run.final_field, gnorm) = found
-        s = x_new - x
-        y = g_new - g
-        if float(s @ y) > CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            lbfgs.push(s, y)
+        lbfgs.push(x_new - x, g_new - g)
         x, g = x_new, g_new
         run.step_history.append(alpha)
     # every evaluation's solver and factors are gone: trim once per run, not per evaluation

@@ -360,6 +360,25 @@ class TestBfgs:
             bfgs_minimize(InversionConfig(max_iterations=0), medium_mesh, crime_measurements, param, x0)
 
 
+class TestLBfgsMemory:
+    def test_push_keeps_the_last_pairs_that_pass_the_curvature_condition(self):
+        lbfgs = inversion._LBfgsDirection()
+        # s.y < 0, s.y = 0, and 0 < s.y <= CURVATURE_SKIP |s| |y|
+        failing = [(np.array([1.0, 0.0]), np.array(y)) for y in ([-1.0, 0.0], [0.0, 1.0], [1e-13, 1.0])]
+        for s, y in failing:
+            lbfgs.push(s, y)
+        assert (len(lbfgs.s), len(lbfgs.y)) == (0, 0)
+        accepted = [(np.array([1.0, float(k)]), np.array([1.0, 0.0])) for k in range(inversion.LBFGS_MEMORY + 3)]
+        for s, y in accepted:
+            lbfgs.push(s, y)
+        for s, y in failing:
+            lbfgs.push(s, y)
+        # the last LBFGS_MEMORY accepted pairs, oldest first
+        kept = accepted[3:]
+        assert [id(s) for s in lbfgs.s] == [id(s) for s, _ in kept]
+        assert [id(y) for y in lbfgs.y] == [id(y) for _, y in kept]
+
+
 class TestStopping:
     """Why a run ends: the noise floor, a projected gradient, or a failed restart."""
 
@@ -401,14 +420,31 @@ class TestStopping:
     def test_stale_direction_restarts_from_steepest_descent(self, medium_mesh, crime_measurements, monkeypatch):
         param = one_region(medium_mesh)
         config = InversionConfig(max_iterations=6, gradient_tolerance=1e-13)
-        # with a curvature pair stored, the direction is too short to move x,
-        # so its line search finds no Armijo step
-        monkeypatch.setattr(inversion._LBfgsDirection, "apply", lambda self, g: 1e-300 * g if self.s else g.copy())
-        restarted = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+        memories, init = [], inversion._LBfgsDirection.__init__
+
+        def counting_init(self):
+            memories.append(None)
+            init(self)
+
+        monkeypatch.setattr(inversion._LBfgsDirection, "__init__", counting_init)
+        # with a curvature pair stored, a direction too short to move x finds
+        # no Armijo step, and an ascent direction is no descent direction
+        stale = {
+            "too-short": lambda self, g: 1e-300 * g if self.s else g.copy(),
+            "ascent": lambda self, g: -g if self.s else g.copy(),
+        }
+        restarted = {}
+        for name, apply in stale.items():
+            monkeypatch.setattr(inversion._LBfgsDirection, "apply", apply)
+            memories.clear()
+            restarted[name] = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
+            # one memory at the start, and a new one for each step after the first
+            assert len(memories) == 1 + 5, name
         monkeypatch.setattr(inversion, "LBFGS_MEMORY", 0)
         steepest = bfgs_minimize(config, medium_mesh, crime_measurements, param, np.array([1.0, 1.0]))
-        assert (restarted.iterations, restarted.reason) == (6, "max iterations reached")
-        assert restarted.j_history == steepest.j_history
+        for name, run in restarted.items():
+            assert (run.iterations, run.reason) == (6, "max iterations reached"), name
+            assert run.j_history == steepest.j_history, name
 
     @pytest.mark.parametrize("accepted", [0, 1], ids=["first-step", "after-a-step"])
     def test_line_search_fails_after_the_steepest_descent_retry(

@@ -315,26 +315,6 @@ def _partitioned_mesh(target_h: float, arc: tuple[float, float]) -> Mesh:
         raise ConfigError(f"dirichlet_arc {list(arc)} at target_h {target_h}: {exc}") from exc
 
 
-def build_meshes(config: ExperimentConfig) -> tuple[Mesh, Mesh]:
-    """(inversion mesh, data mesh); data mesh is once-refined when requested."""
-    mesh = build_mesh(config, config.target_h)
-    if config.data_mesh == "refine":
-        return mesh, build_mesh(config, config.target_h / 2.0)
-    return mesh, mesh
-
-
-def make_measurements(
-    config: ExperimentConfig, mesh: Mesh, data_mesh: Mesh, truth: LameField, noise: inv.NoiseSpec
-) -> tuple[inv.MeasurementSet, inv.MeasurementSet]:
-    """The config's loads measured on data_mesh for truth, and the same data moved to mesh."""
-    loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
-    measured = inv.generate_measurements(data_mesh, truth, loads, noise)
-    if data_mesh is mesh:
-        return measured, measured
-    pairs = [(g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs]
-    return measured, inv.MeasurementSet(pairs)
-
-
 def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
     """Area-weighted centroids of the top-decile lam elements, one per half.
 
@@ -411,9 +391,11 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
     """One reconstruction per (noise, rho) row of the config's kind in RECONSTRUCTIONS."""
     recon = RECONSTRUCTIONS[config.kind]
     spec = recon.truth or config.truth
-    mesh, data_mesh = build_meshes(config)
-    truth_data = truth_field(spec, data_mesh)
+    mesh = build_mesh(config, config.target_h)
+    data_mesh = build_mesh(config, config.target_h / 2.0) if config.data_mesh == "refine" else mesh
     truth = truth_field(spec, mesh)
+    truth_data = truth if data_mesh is mesh else truth_field(spec, data_mesh)
+    loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     regions = np.arange(mesh.n_elements) if recon.per_element else np.zeros(mesh.n_elements, dtype=int)
     param = RegionParameterization(regions, recon.bounds)
     x0 = np.repeat(config.initial, param.n_regions)
@@ -427,7 +409,9 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
         bundle.report["truth_bump_centroids"] = bump_centroids(mesh, truth.lam)
     for i, (eps, rho) in enumerate(recon.settings or [(config.noise, config.rho)]):
         noise = inv.NoiseSpec(eps, config.seed + i)
-        measured, measurements = make_measurements(config, mesh, data_mesh, truth_data, noise)
+        measured = measurements = inv.generate_measurements(data_mesh, truth_data, loads, noise)
+        if data_mesh is not mesh:
+            measurements = inv.MeasurementSet([(g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs])
         # the truth's J on the data mesh, where the noisy data were measured
         floor = inv.kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if noise_floor and eps > 0 else None
         target = None if floor is None else DISCREPANCY_TAU * floor

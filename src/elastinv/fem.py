@@ -516,11 +516,6 @@ class ElasticitySolver:
     def interior(self) -> SpdBlock:
         return SpdBlock(self.disc.interior_pattern.gather(self.free.K.data))
 
-    @cached_property
-    def K_it(self) -> sp.csr_matrix:
-        """Coupling of interior rows to disc.trace_dofs columns."""
-        return self.disc.coupling_pattern.gather(self.free.K.data)
-
     def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
         """X as a float block on the Neumann trace dofs, or FemError."""
         X = np.asarray(X, dtype=float)
@@ -549,6 +544,6 @@ class ElasticitySolver:
         traces = self._trace_block(traces, "trace data")
         U = np.zeros((disc.n_dofs, traces.shape[1]))
         U[disc.trace_dofs] = traces
-        B = -(self.K_it @ traces)
+        B = -(disc.coupling_pattern.gather(self.free.K.data) @ traces)
         U[disc.interior_pattern.rows] = self.interior.solve(B)
         return U

@@ -21,8 +21,6 @@ from elastinv.experiments import (
     ExperimentConfig,
     bump_centroids,
     build_mesh,
-    build_meshes,
-    make_measurements,
     relative_l2_error,
     run_experiment,
     truth_field,
@@ -298,6 +296,21 @@ class TestTruthFields:
         with pytest.raises(ConfigError):
             truth_field({"type": "file", "path": str(path)}, mesh)
 
+    def test_file_truth_is_read_once_per_run(self, tmp_path, monkeypatch):
+        """Once by the config check and once by the run, which samples a
+        truth on one mesh only once."""
+        mesh = build_mesh(ExperimentConfig(kind="custom", target_h=0.3), 0.3)
+        path = tmp_path / "truth.txt"
+        np.savetxt(path, np.tile([2.0, 5.0], (mesh.n_elements, 1)))
+        reads = []
+        read = experiments._file_truth
+        monkeypatch.setattr(experiments, "_file_truth", lambda p: reads.append(p) or read(p))
+        config = ExperimentConfig(kind="custom", target_h=0.3, truth={"type": "file", "path": str(path)},
+                                  max_iterations=3)
+        assert len(reads) == 1
+        run_experiment(config)
+        assert len(reads) == 2
+
 
 def test_relative_l2_error_basics():
     mesh = generate_disk_mesh(0.3)
@@ -315,12 +328,12 @@ def test_runner_without_data_rejects_refine(kind):
 def test_example3_arc_default_differs():
     cfg3 = ExperimentConfig(kind="example3", target_h=0.3)
     cfg1 = ExperimentConfig(kind="example1", target_h=0.3)
-    mesh3, _ = build_meshes(cfg3)
-    mesh1, _ = build_meshes(cfg1)
+    mesh3 = build_mesh(cfg3, 0.3)
+    mesh1 = build_mesh(cfg1, 0.3)
     assert not np.array_equal(mesh3.clamped, mesh1.clamped)
     # explicit arc overrides the per-kind default
     cfg_override = ExperimentConfig(kind="example3", target_h=0.3, dirichlet_arc=(math.pi, 2 * math.pi))
-    mesh_override, _ = build_meshes(cfg_override)
+    mesh_override = build_mesh(cfg_override, 0.3)
     assert np.array_equal(mesh_override.clamped, mesh1.clamped)
 
 
@@ -457,7 +470,8 @@ def library_rows(config: ExperimentConfig) -> list[dict]:
     """The rows of a reconstruction kind, made from library calls alone."""
     spec, per_element, settings, stops = DOCUMENTED[config.kind]
     spec = spec or config.truth
-    mesh, data_mesh = build_meshes(config)
+    mesh = build_mesh(config, config.target_h)
+    data_mesh = build_mesh(config, config.target_h / 2.0) if config.data_mesh == "refine" else mesh
     truth_data, truth = truth_field(spec, data_mesh), truth_field(spec, mesh)
     if per_element:
         param = RegionParameterization(np.arange(mesh.n_elements), PER_ELEMENT_BOUNDS)
@@ -526,9 +540,11 @@ class TestReconstructionRows:
         assert rows == library_rows(config)
         # the floor leaves out the gap between the meshes that the moved data hold
         spec = {"type": "radial-mu", "lam": 1.0}
-        mesh, data_mesh = build_meshes(config)
+        mesh, data_mesh = build_mesh(config, 0.3), build_mesh(config, 0.15)
         truth_data = truth_field(spec, data_mesh)
-        measured, moved = make_measurements(config, mesh, data_mesh, truth_data, NoiseSpec(0.03, config.seed + 1))
+        loads = [SurfaceLoad(constant=g) for g in config.loads]
+        measured = generate_measurements(data_mesh, truth_data, loads, NoiseSpec(0.03, config.seed + 1))
+        moved = MeasurementSet([(g, transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs])
         assert rows[1]["noise_floor_j"] == kohn_vogelius(truth_data, data_mesh, measured, 1e-4)[0]
         assert rows[1]["noise_floor_j"] < kohn_vogelius(truth_field(spec, mesh), mesh, moved, 1e-4)[0]
         assert rows[1]["reason"] == "noise floor reached"
@@ -544,9 +560,10 @@ class TestNoiseFloor:
         clean, noisy = bundle.report["table"]
         eps, rho = 0.03, 1e-4
         # the truth against the row's noisy data and rho, all on the one mesh
-        mesh, data_mesh = build_meshes(config)
+        mesh = build_mesh(config, 0.3)
         truth = bundle.fields["truth"]
-        measurements, _ = make_measurements(config, mesh, data_mesh, truth, NoiseSpec(eps, config.seed + 1))
+        loads = [SurfaceLoad(constant=g) for g in config.loads]
+        measurements = generate_measurements(mesh, truth, loads, NoiseSpec(eps, config.seed + 1))
         floor = kohn_vogelius(truth, mesh, measurements, rho)[0]
         assert noisy["noise_floor_j"] == floor
         assert (noisy["iterations"], noisy["reason"], noisy["converged"]) == (stop, "noise floor reached", False)

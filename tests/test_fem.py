@@ -136,7 +136,7 @@ def _blocks(solver):
         for name, K, pattern in [
             ("K_free", solver.free.K, disc.free_pattern),
             ("K_interior", solver.interior.K, disc.interior_pattern),
-            ("K_it", solver.K_it, disc.coupling_pattern),
+            ("K_it", disc.coupling_pattern.gather(solver.free.K.data), disc.coupling_pattern),
         ]
     ]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import weakref
 
@@ -481,11 +482,24 @@ class TestStopping:
             assert len(memories) == 1 and len(calls) <= 1 + inversion.MAX_BACKTRACKS
 
 
+# the program's two default clamped arcs: lower half circle, upper-left quarter
+TRANSFER_ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
+
+
+@functools.lru_cache(maxsize=None)
+def _arc_mesh(h, arc):
+    return partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
+
+
 class TestTraceTransfer:
-    def test_same_mesh_is_identity(self, medium_mesh, field_37, loads):
-        meas = generate_measurements(medium_mesh, field_37, loads)
-        f = meas.pairs[0][1]
-        assert np.allclose(transfer_trace(medium_mesh, f, medium_mesh), f, rtol=1e-12)
+    def test_same_mesh_is_identity(self, loads):
+        """Bit for bit, on both default arcs and a wrapping one: np.interp at
+        its own abscissae adds an exact 0, so a reconstruction on one mesh
+        uses its measured traces as they are."""
+        for h, arc in itertools.product([0.2, 0.08], [*TRANSFER_ARCS, (5.0, 7.0)]):
+            mesh = _arc_mesh(h, arc)
+            for _, f in generate_measurements(mesh, LameField.constant(3.0, 7.0, mesh.n_elements), loads).pairs:
+                assert np.array_equal(transfer_trace(mesh, f, mesh), f), (h, arc)
 
     def test_refined_to_coarse_is_close(self, medium_mesh, fine_mesh, loads):
         field_fine = LameField.constant(3.0, 7.0, fine_mesh.n_elements)
@@ -495,15 +509,6 @@ class TestTraceTransfer:
         moved = transfer_trace(fine_mesh, f_fine, medium_mesh)
         scale = np.abs(f_med).max()
         assert np.abs(moved - f_med).max() <= 0.1 * scale  # discretization-level agreement
-
-
-# the program's two default clamped arcs: lower half circle, upper-left quarter
-TRANSFER_ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
-
-
-@functools.lru_cache(maxsize=None)
-def _arc_mesh(h, arc):
-    return partition_boundary(generate_disk_mesh(h), BoundaryPartitionSpec(*arc))
 
 
 def _arc_angle(mesh, arc, nodes):

@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         check_out(args.out)  # before the run, which may take minutes
         bundle = run_experiment(config)
-    except (ConfigError, MeshError, ValueError) as exc:
+    except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FemError as exc:

@@ -102,12 +102,6 @@ class LameField:
     def constant(cls, lam: float, mu: float, n_elements: int) -> "LameField":
         return cls(np.full(n_elements, float(lam)), np.full(n_elements, float(mu)))
 
-    def check_mesh(self, mesh: Mesh) -> None:
-        if len(self.lam) != mesh.n_elements:
-            raise ValueError(
-                f"field has {len(self.lam)} elements, mesh has {mesh.n_elements}"
-            )
-
 
 class RegionParameterization:
     """Lame parameters constant on each region of an element partition.
@@ -501,7 +495,8 @@ class ElasticitySolver:
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
-        field.check_mesh(mesh)
+        if len(field.lam) != mesh.n_elements:
+            raise ValueError(f"field has {len(field.lam)} elements, mesh has {mesh.n_elements}")
         self.mesh = mesh
         self.field = field
         self.disc = discretization(mesh)

@@ -49,11 +49,6 @@ class BoundaryPartitionSpec:
                 f"dirichlet arc width must lie in (0, 2*pi), got {width!r}"
             )
 
-    def contains(self, angle: float | np.ndarray) -> np.ndarray:
-        """Membership of angle(s) in the arc, modulo 2*pi."""
-        rel = np.mod(np.asarray(angle) - self.theta0, 2.0 * math.pi)
-        return rel < (self.theta1 - self.theta0)
-
 
 @dataclass(eq=False)
 class Mesh:
@@ -75,7 +70,20 @@ class Mesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
         self.clamped = np.asarray(self.clamped)
-        self.validate()
+        n = self.n_nodes
+        if self.triangles.size and (
+            self.triangles.min() < 0 or self.triangles.max() >= n
+        ):
+            raise MeshError("triangle node index out of range")
+        if self.boundary_edges.size and (
+            self.boundary_edges.min() < 0 or self.boundary_edges.max() >= n
+        ):
+            raise MeshError("boundary edge node index out of range")
+        signed = _signed_areas(self.nodes, self.triangles)
+        if signed.size and signed.min() <= 0.0:
+            raise MeshError("triangle with non-positive signed area (not CCW)")
+        if self.clamped.dtype != bool or self.clamped.shape != self.boundary_edges.shape[:1]:
+            raise MeshError("clamped must be a bool array with one entry per boundary edge")
 
     # -- basic queries ----------------------------------------------------
 
@@ -111,24 +119,6 @@ class Mesh:
     @cached_property
     def neumann_edges(self) -> np.ndarray:
         return self.boundary_edges[~self.clamped]
-
-    # -- validation -------------------------------------------------------
-
-    def validate(self) -> None:
-        n = self.n_nodes
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= n
-        ):
-            raise MeshError("triangle node index out of range")
-        if self.boundary_edges.size and (
-            self.boundary_edges.min() < 0 or self.boundary_edges.max() >= n
-        ):
-            raise MeshError("boundary edge node index out of range")
-        signed = _signed_areas(self.nodes, self.triangles)
-        if signed.size and signed.min() <= 0.0:
-            raise MeshError("triangle with non-positive signed area (not CCW)")
-        if self.clamped.dtype != bool or self.clamped.shape != self.boundary_edges.shape[:1]:
-            raise MeshError("clamped must be a bool array with one entry per boundary edge")
 
 
 def _ring_points(target_h: float) -> tuple[np.ndarray, int]:
@@ -182,7 +172,7 @@ def partition_boundary(mesh: Mesh, spec: BoundaryPartitionSpec) -> Mesh:
     """
     mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]] + mesh.nodes[mesh.boundary_edges[:, 1]])
     angles = np.mod(np.arctan2(mids[:, 1], mids[:, 0]), 2.0 * math.pi)
-    inside = spec.contains(angles)
+    inside = np.mod(angles - spec.theta0, 2.0 * math.pi) < (spec.theta1 - spec.theta0)
     if inside.all() or not inside.any():
         raise MeshError("boundary partition leaves one part empty")
     order = np.argsort(angles, kind="stable")

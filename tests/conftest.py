@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastinv import LameField, SurfaceLoad, generate_disk_mesh
-from elastinv.fem import RegionParameterization, strain_energy_density
+from elastinv.fem import LameField, RegionParameterization, SurfaceLoad, strain_energy_density
+from elastinv.mesh import generate_disk_mesh
 
 DEFAULT_LOADS = [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.3, 0.5)]
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastinv import experiments
-from elastinv.cli import EXIT_CONFIG, EXIT_OK, build_parser, config_from_args, main
+from elastinv import experiments, fem, inversion, ntd
+from elastinv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, build_parser, config_from_args, main
 from elastinv.experiments import (
     DISCREPANCY_TAU,
     FIELD_CHUNK,
@@ -142,6 +142,11 @@ class TestConfig:
             {"kind": "custom", "gradient_tolerance": math.inf},
             # a key no truth type reads, which would leave lam at its default
             {"kind": "forward", "truth": {"type": "radial-mu", "lamda": 3.0}},
+            # no number, and no kind name
+            {"target_h": "0.1"},
+            {"target_h": None},
+            {"target_h": [0.5, 0.5]},
+            {"kind": ["x"]},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -271,6 +276,14 @@ class TestTruthFields:
         centroids = bump_centroids(mesh, field.lam)
         for found, target in zip(centroids, ([0.5, 0.5], [-0.5, -0.5])):
             assert math.dist(found, target) <= 0.1
+
+    def test_bump_centroids_of_one_bump(self):
+        # the top decile lies where x + y > 0 only: the other half has no centroid
+        mesh = generate_disk_mesh(0.1)
+        cx, cy = mesh.element_centroids.T
+        upper, lower = bump_centroids(mesh, np.exp(-5.0 * ((cx - 0.5) ** 2 + (cy - 0.5) ** 2)))
+        assert math.dist(upper, [0.5, 0.5]) <= 0.1
+        assert all(math.isnan(c) for c in lower)
 
     def test_unknown_type(self):
         mesh = generate_disk_mesh(0.3)
@@ -812,3 +825,43 @@ class TestCli:
         code = main(["stability", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_string_mesh_size_in_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": "0.1"}))
+        out = tmp_path / "fw"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "target_h" in capsys.readouterr().err
+
+    def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(self, B):
+            raise fem.FemError("singular block")
+
+        monkeypatch.setattr(fem.SpdBlock, "solve", fail)
+        out = tmp_path / "fw"
+        code = main(["forward", "--mesh-h", "0.3", "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert not out.exists()
+        assert "solver failure" in capsys.readouterr().err
+
+    def test_invariant_violation_exits_4_after_writing_the_bundle(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ntd, "loewner_gap", lambda a, b: -1.0)
+        monkeypatch.setattr(ntd, "monotonicity_sandwich", lambda s1, s2, loads: [(0.0, 1.0, 0.0)] * len(loads))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "n_pairs": 1}))
+        out = tmp_path / "mono"
+        code = main(["monotonicity", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INVARIANT
+        violations = json.loads((out / "results.json").read_text())["violations"]
+        assert {v["kind"] for v in violations} == {"loewner", "sandwich"}
+        assert "invariant violation" in capsys.readouterr().err
+
+    def test_internal_error_is_no_config_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(inversion, "generate_measurements", fail)
+        with pytest.raises(ValueError, match="internal"):
+            main(["forward", "--mesh-h", "0.3", "--out", str(tmp_path / "fw")])

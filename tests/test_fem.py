@@ -24,7 +24,7 @@ from elastinv.fem import (
     release_free_heap,
 )
 from elastinv.experiments import PER_ELEMENT_BOUNDS
-from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
+from elastinv.mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 from conftest import interior_energy, random_field, random_trace
 
 ARCS = [(math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)]
@@ -100,7 +100,11 @@ class TestLameField:
     def test_mesh_size_guard(self, medium_mesh):
         field = LameField.constant(1.0, 1.0, medium_mesh.n_elements + 1)
         with pytest.raises(ValueError):
-            field.check_mesh(medium_mesh)
+            ElasticitySolver(medium_mesh, field)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LameField([1.0, 1.0], [1.0])
 
 
 def _coo_stiffness(mesh, field):
@@ -527,6 +531,13 @@ class TestNeumannSolve:
         expected = np.einsum("keij,keij->ke", tensor, tensor)
         assert np.array_equal((xx * xx + xy * xy) + (xy * xy + yy * yy), expected)
         assert np.array_equal(fem.strain_dot(strain), expected)
+
+    def test_mesh_without_clamped_part_rejected(self, medium_mesh, field_37):
+        # every edge loaded: nothing fixes the rigid motions, so the stiffness is singular
+        loaded = Mesh(medium_mesh.nodes, medium_mesh.triangles, medium_mesh.boundary_edges,
+                      np.zeros(len(medium_mesh.boundary_edges), bool))
+        with pytest.raises(FemError, match="no Dirichlet boundary"):
+            ElasticitySolver(loaded, field_37)
 
     def test_load_size_mismatch(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)

@@ -182,6 +182,8 @@ def test_invalid_mesh_rejected():
         Mesh(nodes, np.array([[0, 2, 1]]), np.empty((0, 2), dtype=int))  # clockwise
     with pytest.raises(MeshError):
         Mesh(nodes, np.array([[0, 1, 3]]), np.empty((0, 2), dtype=int))  # out of range
+    with pytest.raises(MeshError, match="boundary edge"):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 3]]), np.zeros(2, bool))  # out of range
     with pytest.raises(MeshError):
         Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]))  # untagged boundary
     edges = np.array([[0, 1], [1, 2], [2, 0]])

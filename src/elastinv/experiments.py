@@ -81,12 +81,16 @@ class ExperimentConfig:
             self.initial = defaults["initial"]
         if self.data_mesh not in ("same", "refine"):
             raise ConfigError(f"data_mesh must be 'same' or 'refine', got {self.data_mesh!r}")
-        if _float_array(self.target_h, "target_h").shape != () or not (0.0 < self.target_h < 1.0):
+        # numbers are kept as floats, so that 0 and 0.0 write one bundle
+        target_h = _float_array(self.target_h, "target_h")
+        if target_h.shape != () or not (0.0 < target_h < 1.0):
             raise ConfigError(f"target_h out of range: {self.target_h!r}")
+        self.target_h = float(target_h)
         if self.dirichlet_arc is not None:
-            if _float_array(self.dirichlet_arc, "dirichlet_arc").shape != (2,):
+            arc = _float_array(self.dirichlet_arc, "dirichlet_arc")
+            if arc.shape != (2,):
                 raise ConfigError(f"dirichlet_arc must be two finite numbers, got {self.dirichlet_arc!r}")
-            self.dirichlet_arc = tuple(self.dirichlet_arc)
+            self.dirichlet_arc = tuple(arc.tolist())
             try:  # the arc's width is checked by BoundaryPartitionSpec
                 BoundaryPartitionSpec(*self.dirichlet_arc)
             except MeshError as exc:
@@ -95,8 +99,10 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         # strings, booleans and infinities, which the library would take; it checks the ranges
         for name in ("noise", "rho", "gradient_tolerance"):
-            if _float_array(getattr(self, name), name).shape != ():
+            value = _float_array(getattr(self, name), name)
+            if value.shape != ():
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            setattr(self, name, float(value))
         try:
             inv.InversionConfig(self.rho, self.max_iterations, self.gradient_tolerance)
             inv.NoiseSpec(self.noise)
@@ -111,12 +117,16 @@ class ExperimentConfig:
         initial = _float_array(self.initial, "initial")
         if initial.shape != (2,) or not np.all(initial > 0.0):
             raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
-        self.initial = tuple(self.initial)
+        self.initial = tuple(initial.tolist())
         loads = _float_array(self.loads, "loads")
         if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
             raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
-        self.loads = [tuple(g) for g in self.loads]
-        _check_truth(self.truth)
+        self.loads = [tuple(g) for g in loads.tolist()]
+        extra = sorted(set(self.truth) - _check_truth(self.truth))
+        if extra:
+            raise ConfigError(f"a {self.truth.get('type', 'constant')} truth does not read {extra}")
+        # a copy, so the caller's dict keeps its values
+        self.truth = {k: float(v) if k in ("lam", "mu") else v for k, v in self.truth.items()}
         unread = [
             name for name, default in defaults.items()
             if name not in READS[self.kind] and getattr(self, name) != default
@@ -166,8 +176,9 @@ class ExperimentConfig:
 # -- truth fields ----------------------------------------------------------
 
 
-def _check_truth(spec) -> None:
-    """Raise ConfigError unless spec is a truth description: known type, valid keys, moduli in DEFAULT_BOUNDS."""
+def _check_truth(spec) -> set[str]:
+    """The keys spec's type reads, or ConfigError unless spec is a truth description: known type,
+    valid keys, moduli in DEFAULT_BOUNDS.  Only the config rejects a key that the type does not read."""
     if not isinstance(spec, dict):
         raise ConfigError(f"truth must be an object, got {spec!r}")
     unread = sorted(map(str, set(spec) - {"type", "lam", "mu", "path"}))
@@ -176,13 +187,17 @@ def _check_truth(spec) -> None:
     kind = spec.get("type", "constant")
     moduli = ()  # the Lame moduli the spec gives
     if kind == "constant":
-        moduli = ("lam", "mu")
+        moduli = reads = ("lam", "mu")
     elif kind == "radial-mu":
-        moduli = ("lam",) if "lam" in spec else ()
+        reads = ("lam",)  # 1 unless given
+        moduli = reads if "lam" in spec else ()
     elif kind == "file":
+        reads = ("path",)
         if not isinstance(spec.get("path"), str):
             raise ConfigError(f"file truth needs a string path, got {spec.get('path')!r}")
-    elif kind != "gaussian-bumps-lambda":
+    elif kind == "gaussian-bumps-lambda":
+        reads = ()
+    else:
         raise ConfigError(f"unknown truth field type {kind!r}")
     a, b, c, d = DEFAULT_BOUNDS
     box = {"lam": [a, b], "mu": [c, d]}
@@ -190,6 +205,7 @@ def _check_truth(spec) -> None:
         value = _float_array(spec.get(key), f"truth {key}")
         if value.shape != () or not box[key][0] <= value <= box[key][1]:
             raise ConfigError(f"{kind} truth needs a number {key} in {box[key]}, got {spec.get(key)!r}")
+    return {"type", *reads}
 
 
 def _file_truth(path) -> LameField:
@@ -447,17 +463,20 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
     return bundle
 
 
-def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
-    """Seeded campaign over ordered pairs: sandwich inequality and ordering gap."""
+def _ordered_pairs(config: ExperimentConfig):
+    """The config's seeded quadrant pairs on its mesh, one solver per field to serve all its solves."""
     mesh = build_mesh(config, config.target_h)
     rng = np.random.default_rng(config.seed)
+    for _ in range(config.n_pairs):
+        pair = ntd.quadrant_pair(mesh, rng)
+        yield ElasticitySolver(mesh, pair.field_1), ElasticitySolver(mesh, pair.field_2)
+
+
+def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
+    """Seeded campaign over ordered pairs: sandwich inequality and ordering gap."""
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     records, violations = [], []
-    for i in range(config.n_pairs):
-        pair = ntd.quadrant_pair(mesh, rng)
-        # one solver per field serves its NtD matrix and every sandwich load
-        s1 = ElasticitySolver(mesh, pair.field_1)
-        s2 = ElasticitySolver(mesh, pair.field_2)
+    for i, (s1, s2) in enumerate(_ordered_pairs(config)):
         gap = ntd.loewner_gap(ntd.build_ntd(s1), ntd.build_ntd(s2))
         rec = {"pair": i, "loewner_gap": gap, "sandwich": []}
         if gap < -ntd.ORDER_TOL:
@@ -478,12 +497,25 @@ def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
 
 
 def run_stability(config: ExperimentConfig) -> ResultBundle:
-    """Empirical Lipschitz-constant experiment on the quadrant family."""
-    mesh = build_mesh(config, config.target_h)
-    rng = np.random.default_rng(config.seed)
-    family = [ntd.quadrant_pair(mesh, rng) for _ in range(config.n_pairs)]
-    rep = ntd.stability_ratio_experiment(mesh, family)
-    report = {"kind": "stability", "n_pairs": config.n_pairs, **dataclasses.asdict(rep)}
+    """Ratio d(params) / |NtD difference| over the seeded ordered pairs, skipping coincident ones.
+
+    The max ratio is the family's empirical Lipschitz constant at this discretization, not thresholded.
+    """
+    ratios, dps, dops, skipped = [], [], [], 0
+    for s1, s2 in _ordered_pairs(config):
+        dp = ntd.parameter_distance(s1.field, s2.field)
+        if dp == 0.0:
+            skipped += 1
+            continue
+        dop = ntd.operator_distance(ntd.build_ntd(s1), ntd.build_ntd(s2))
+        dps.append(dp)
+        dops.append(dop)
+        ratios.append(dp / dop if dop > 0.0 else float("inf"))
+    report = {
+        "kind": "stability", "n_pairs": config.n_pairs, "skipped": skipped, "ratios": ratios,
+        "parameter_distances": dps, "operator_distances": dops,
+        "max_ratio": max(ratios, default=None), "min_ratio": min(ratios, default=None),
+    }
     return ResultBundle(config, report)
 
 

@@ -5,8 +5,8 @@ displacement traces there.  All inner products and norms are weighted by the
 boundary mass matrix, so the matrix statements mirror the L2 statements for
 the continuum operator: self-adjointness, the two-sided monotonicity
 inequality, the Loewner ordering for pointwise-ordered parameter pairs, and
-the ratio experiment that estimates a Lipschitz stability constant on a
-finite family.
+the operator and parameter distances whose ratio estimates a Lipschitz
+stability constant.
 """
 
 from __future__ import annotations
@@ -132,48 +132,6 @@ def parameter_distance(field_1: LameField, field_2: LameField) -> float:
     """max of the two sup-norm parameter differences."""
     return float(
         max(np.abs(field_1.lam - field_2.lam).max(), np.abs(field_1.mu - field_2.mu).max())
-    )
-
-
-@dataclass
-class StabilityReport:
-    """Outcome of the empirical Lipschitz-constant experiment."""
-
-    ratios: list[float]
-    parameter_distances: list[float]
-    operator_distances: list[float]
-    skipped: int
-    max_ratio: float | None
-    min_ratio: float | None
-
-
-def stability_ratio_experiment(mesh: Mesh, family: list[OrderedPair]) -> StabilityReport:
-    """Ratio d(params) / |NtD difference| over a family of ordered pairs.
-
-    Pairs with coincident parameters are skipped.  The max ratio is the
-    empirical stability constant of the sampled family at this
-    discretization; no threshold is imposed on its size.
-    """
-    ratios, dps, dops = [], [], []
-    skipped = 0
-    for pair in family:
-        dp = parameter_distance(pair.field_1, pair.field_2)
-        if dp == 0.0:
-            skipped += 1
-            continue
-        op1 = build_ntd(ElasticitySolver(mesh, pair.field_1))
-        op2 = build_ntd(ElasticitySolver(mesh, pair.field_2))
-        dop = operator_distance(op1, op2)
-        dps.append(dp)
-        dops.append(dop)
-        ratios.append(dp / dop if dop > 0.0 else float("inf"))
-    return StabilityReport(
-        ratios=ratios,
-        parameter_distances=dps,
-        operator_distances=dops,
-        skipped=skipped,
-        max_ratio=max(ratios) if ratios else None,
-        min_ratio=min(ratios) if ratios else None,
     )
 
 

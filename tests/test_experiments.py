@@ -397,6 +397,25 @@ class TestBundles:
         assert len(bundle.report["ratios"]) == 4
         assert all(r > 0 and np.isfinite(r) for r in bundle.report["ratios"])
 
+    @pytest.mark.parametrize(
+        "ints, floats",
+        [
+            ({"kind": "custom", "noise": 0, "rho": 0, "initial": [1, 2], "gradient_tolerance": 1, "max_iterations": 2},
+             {"kind": "custom", "noise": 0.0, "rho": 0.0, "initial": [1.0, 2.0], "gradient_tolerance": 1.0,
+              "max_iterations": 2}),
+            ({"kind": "forward", "loads": [[1, 0], [0, -1]], "dirichlet_arc": [3, 6],
+              "truth": {"type": "constant", "lam": 3, "mu": 7}},
+             {"kind": "forward", "loads": [[1.0, 0.0], [0.0, -1.0]], "dirichlet_arc": [3.0, 6.0],
+              "truth": {"type": "constant", "lam": 3.0, "mu": 7.0}}),
+        ],
+        ids=["custom", "forward"],
+    )
+    def test_int_and_float_spellings_write_one_bundle(self, tmp_path, ints, floats):
+        files = {}
+        for name, config in (("ints", ints), ("floats", floats)):
+            out = run_experiment(ExperimentConfig.from_dict({**config, "target_h": 0.3})).write(tmp_path / name)
+            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert files["ints"] == files["floats"]
 
     def test_custom_bundle(self, tmp_path):
         config = ExperimentConfig(
@@ -756,9 +775,15 @@ class TestCli:
             ({"kind": "forward", "truth": {"type": "file", "path": "missing/field.txt"}},
              ["truth file", "missing/field.txt"]),
             ({"kind": "forward", "truth": {"type": "radial-mu", "lamda": 3}}, ["truth", "lamda"]),
+            # keys that another truth type reads, but the spec's own type does not
+            ({"kind": "forward", "truth": {"type": "radial-mu", "lam": 3, "mu": 7}}, ["radial-mu truth", "'mu'"]),
+            ({"kind": "forward", "truth": {"type": "gaussian-bumps-lambda", "lam": 3}},
+             ["gaussian-bumps-lambda truth", "'lam'"]),
+            ({"kind": "custom", "truth": {"lam": 3, "mu": 7, "path": "field.txt"}}, ["constant truth", "'path'"]),
+            ({"kind": "custom", "truth": {"type": "file", "path": "field.txt", "mu": 7}}, ["file truth", "'mu'"]),
         ],
         ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing",
-             "truth-key-misspelled"],
+             "truth-key-misspelled", "radial-mu-truth-mu", "bumps-truth-lam", "constant-truth-path", "file-truth-mu"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
         monkeypatch.chdir(tmp_path)  # where no truth file exists
@@ -834,6 +859,17 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "target_h" in capsys.readouterr().err
+
+    def test_out_that_is_not_writable_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch):
+        # os.access stands in for a directory without write permission, which a superuser writes to all the same
+        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+        monkeypatch.setattr("elastinv.cli.os.access", lambda path, mode: False)
+        out = tmp_path / "out"
+        code = main(["forward", "--mesh-h", "0.3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not writable" in err and str(tmp_path) in err
 
     def test_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(self, B):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elastinv import ntd
+from elastinv.experiments import ExperimentConfig, run_experiment
 from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from elastinv.ntd import (
@@ -17,7 +18,6 @@ from elastinv.ntd import (
     operator_distance,
     parameter_distance,
     quadrant_pair,
-    stability_ratio_experiment,
 )
 from conftest import interior_energy, random_field
 
@@ -184,21 +184,20 @@ class TestOperatorDistance:
 
 
 class TestStabilityExperiment:
-    def test_identical_pair_skipped(self, medium_mesh, field_37):
-        pair = OrderedPair(field_37, field_37)
-        rep = stability_ratio_experiment(medium_mesh, [pair])
-        assert rep.skipped == 1
-        assert rep.ratios == []
-        assert rep.max_ratio is None
+    def test_identical_pair_skipped(self, monkeypatch, field_37):
+        monkeypatch.setattr(ntd, "quadrant_pair", lambda mesh, rng: OrderedPair(field_37, field_37))
+        rep = run_experiment(ExperimentConfig(kind="stability", target_h=0.2, n_pairs=1)).report
+        assert rep["skipped"] == 1
+        assert rep["ratios"] == []
+        assert rep["max_ratio"] is None
 
-    def test_quadrant_family(self, coarse_mesh):
-        rng = np.random.default_rng(7)
-        family = [quadrant_pair(coarse_mesh, rng) for _ in range(10)]
-        rep = stability_ratio_experiment(coarse_mesh, family)
-        assert len(rep.ratios) == 10
-        assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
+    def test_quadrant_family(self):
+        # the pairs of quadrant_pair(coarse_mesh, default_rng(7)), drawn on the runner's mesh
+        rep = run_experiment(ExperimentConfig(kind="stability", target_h=0.25, seed=7, n_pairs=10)).report
+        assert len(rep["ratios"]) == 10
+        assert all(np.isfinite(r) and r > 0 for r in rep["ratios"])
         # distinguishability: distinct ordered parameters give distinct operators
-        assert all(d > 0 for d in rep.operator_distances)
+        assert all(d > 0 for d in rep["operator_distances"])
 
     @pytest.mark.parametrize("seed", [0, 7, 104, 2024])
     def test_quadrant_pair_keeps_its_draws(self, medium_mesh, seed):

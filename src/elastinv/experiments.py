@@ -35,18 +35,29 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """value as a finite float array, or ConfigError naming the field.
+def _float_array(value, name: str, shape: tuple):
+    """value as the config stores it, or ConfigError naming the field.
 
-    Strings and booleans are refused, which numpy would read as numbers.
+    shape () is a number, stored as a float; (2,) a pair, and (-1, 2) a non-empty list of pairs, stored as
+    float tuples.  Strings and booleans, which numpy would read as numbers, and non-finite entries are
+    refused, and -0.0 is stored as 0.0, so that 0, 0.0 and -0.0 write one bundle.
     """
     entries = np.asarray(value, dtype=object)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in entries.flat):
         raise ConfigError(f"{name} must be numeric, got {value!r}")
-    arr = entries.astype(float)
+    arr = entries.astype(float) + 0.0
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return arr
+    if arr.ndim != len(shape) or arr.size == 0 or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
+        what = {(): "a number", (2,): "a pair of numbers", (-1, 2): "a non-empty list of pairs"}[shape]
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    stored = arr.tolist()
+    return stored if arr.ndim == 0 else tuple(stored) if arr.ndim == 1 else [tuple(pair) for pair in stored]
+
+
+# the config's numeric fields and their _float_array shapes
+NUMBERS = {"target_h": (), "noise": (), "rho": (), "gradient_tolerance": (), "dirichlet_arc": (2,),
+           "initial": (2,), "loads": (-1, 2)}
 
 
 @dataclass
@@ -81,31 +92,21 @@ class ExperimentConfig:
             self.initial = defaults["initial"]
         if self.data_mesh not in ("same", "refine"):
             raise ConfigError(f"data_mesh must be 'same' or 'refine', got {self.data_mesh!r}")
-        # numbers are kept as floats, so that 0 and 0.0 write one bundle
-        target_h = _float_array(self.target_h, "target_h")
-        if target_h.shape != () or not (0.0 < target_h < 1.0):
-            raise ConfigError(f"target_h out of range: {self.target_h!r}")
-        self.target_h = float(target_h)
-        if self.dirichlet_arc is not None:
-            arc = _float_array(self.dirichlet_arc, "dirichlet_arc")
-            if arc.shape != (2,):
-                raise ConfigError(f"dirichlet_arc must be two finite numbers, got {self.dirichlet_arc!r}")
-            self.dirichlet_arc = tuple(arc.tolist())
-            try:  # the arc's width is checked by BoundaryPartitionSpec
-                BoundaryPartitionSpec(*self.dirichlet_arc)
-            except MeshError as exc:
-                raise ConfigError(str(exc)) from exc
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
-        # strings, booleans and infinities, which the library would take; it checks the ranges
-        for name in ("noise", "rho", "gradient_tolerance"):
-            value = _float_array(getattr(self, name), name)
-            if value.shape != ():
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-            setattr(self, name, float(value))
-        try:
+        for name, shape in NUMBERS.items():
+            value = getattr(self, name)
+            if value is not None or name != "dirichlet_arc":  # a None arc is the kind's
+                setattr(self, name, _float_array(value, name, shape))
+        if not 0.0 < self.target_h < 1.0:
+            raise ConfigError(f"target_h out of range: {self.target_h!r}")
+        try:  # the library checks the other ranges
             inv.InversionConfig(self.rho, self.max_iterations, self.gradient_tolerance)
             inv.NoiseSpec(self.noise)
+            if self.dirichlet_arc is not None:
+                BoundaryPartitionSpec(*self.dirichlet_arc)
+        except MeshError as exc:
+            raise ConfigError(f"dirichlet_arc {list(self.dirichlet_arc)}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # `type(...) is int`, since bool is an int too and JSON's true and
@@ -114,19 +115,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (type(self.n_pairs) is int and self.n_pairs >= 1):
             raise ConfigError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
-        initial = _float_array(self.initial, "initial")
-        if initial.shape != (2,) or not np.all(initial > 0.0):
-            raise ConfigError(f"initial must be two finite positive numbers, got {self.initial!r}")
-        self.initial = tuple(initial.tolist())
-        loads = _float_array(self.loads, "loads")
-        if loads.ndim != 2 or loads.shape[0] == 0 or loads.shape[1] != 2:
-            raise ConfigError(f"loads must be a non-empty list of 2-vectors, got {self.loads!r}")
-        self.loads = [tuple(g) for g in loads.tolist()]
-        extra = sorted(set(self.truth) - _check_truth(self.truth))
+        truth = _check_truth(self.truth)
+        extra = sorted(set(self.truth) - set(truth))
         if extra:
             raise ConfigError(f"a {self.truth.get('type', 'constant')} truth does not read {extra}")
-        # a copy, so the caller's dict keeps its values
-        self.truth = {k: float(v) if k in ("lam", "mu") else v for k, v in self.truth.items()}
+        self.truth = truth  # a copy, so the caller's dict keeps its values
         unread = [
             name for name, default in defaults.items()
             if name not in READS[self.kind] and getattr(self, name) != default
@@ -143,7 +136,7 @@ class ExperimentConfig:
             _file_truth(path)
         if recon:
             a, b, c, d = recon.bounds
-            if not (a <= initial[0] <= b and c <= initial[1] <= d):
+            if not (a <= self.initial[0] <= b and c <= self.initial[1] <= d):
                 raise ConfigError(f"initial must lie in the admissible box {(a, b, c, d)}, got {self.initial!r}")
 
     def to_dict(self) -> dict:
@@ -176,9 +169,10 @@ class ExperimentConfig:
 # -- truth fields ----------------------------------------------------------
 
 
-def _check_truth(spec) -> set[str]:
-    """The keys spec's type reads, or ConfigError unless spec is a truth description: known type,
-    valid keys, moduli in DEFAULT_BOUNDS.  Only the config rejects a key that the type does not read."""
+def _check_truth(spec) -> dict:
+    """The entries of spec that its type reads, moduli as floats, or ConfigError unless spec is a truth
+    description: known type, valid keys, moduli in DEFAULT_BOUNDS.  Only the config rejects a key that
+    the type does not read."""
     if not isinstance(spec, dict):
         raise ConfigError(f"truth must be an object, got {spec!r}")
     unread = sorted(map(str, set(spec) - {"type", "lam", "mu", "path"}))
@@ -201,11 +195,12 @@ def _check_truth(spec) -> set[str]:
         raise ConfigError(f"unknown truth field type {kind!r}")
     a, b, c, d = DEFAULT_BOUNDS
     box = {"lam": [a, b], "mu": [c, d]}
+    read = {key: spec[key] for key in ("type", *reads) if key in spec}
     for key in moduli:
-        value = _float_array(spec.get(key), f"truth {key}")
-        if value.shape != () or not box[key][0] <= value <= box[key][1]:
+        read[key] = _float_array(spec.get(key), f"truth {key}", ())
+        if not box[key][0] <= read[key] <= box[key][1]:
             raise ConfigError(f"{kind} truth needs a number {key} in {box[key]}, got {spec.get(key)!r}")
-    return {"type", *reads}
+    return read
 
 
 def _file_truth(path) -> LameField:

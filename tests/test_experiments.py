@@ -161,6 +161,12 @@ class TestConfig:
             ({"max_iterations": -1}, "max_iterations"),
             ({"max_iterations": 2.0}, "max_iterations"),
             ({"gradient_tolerance": 0.0}, "gradient_tolerance"),
+            ({"dirichlet_arc": (0.0, 7.0)}, "dirichlet_arc"),
+            ({"target_h": 1.5}, "target_h"),
+            ({"kind": "custom", "initial": (0.0, 1.0)}, "initial"),
+            ({"loads": [[0.1]]}, "loads"),
+            ({"seed": -1}, "seed"),
+            ({"kind": "stability", "n_pairs": 0}, "n_pairs"),
         ],
     )
     def test_range_errors_name_the_config_field(self, bad, name):
@@ -398,7 +404,7 @@ class TestBundles:
         assert all(r > 0 and np.isfinite(r) for r in bundle.report["ratios"])
 
     @pytest.mark.parametrize(
-        "ints, floats",
+        "spelled, floats",
         [
             ({"kind": "custom", "noise": 0, "rho": 0, "initial": [1, 2], "gradient_tolerance": 1, "max_iterations": 2},
              {"kind": "custom", "noise": 0.0, "rho": 0.0, "initial": [1.0, 2.0], "gradient_tolerance": 1.0,
@@ -407,15 +413,19 @@ class TestBundles:
               "truth": {"type": "constant", "lam": 3, "mu": 7}},
              {"kind": "forward", "loads": [[1.0, 0.0], [0.0, -1.0]], "dirichlet_arc": [3.0, 6.0],
               "truth": {"type": "constant", "lam": 3.0, "mu": 7.0}}),
+            ({"kind": "custom", "noise": -0.0, "rho": -0.0, "max_iterations": 2},
+             {"kind": "custom", "noise": 0.0, "rho": 0.0, "max_iterations": 2}),
+            ({"kind": "forward", "loads": [[-0.0, 1.0]]}, {"kind": "forward", "loads": [[0.0, 1.0]]}),
         ],
-        ids=["custom", "forward"],
+        ids=["custom", "forward", "custom-negative-zero", "forward-negative-zero"],
     )
-    def test_int_and_float_spellings_write_one_bundle(self, tmp_path, ints, floats):
+    def test_int_and_float_spellings_write_one_bundle(self, tmp_path, spelled, floats):
+        # spelled holds integers or negative zeros, floats the same numbers as positive floats
         files = {}
-        for name, config in (("ints", ints), ("floats", floats)):
+        for name, config in (("spelled", spelled), ("floats", floats)):
             out = run_experiment(ExperimentConfig.from_dict({**config, "target_h": 0.3})).write(tmp_path / name)
             files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert files["ints"] == files["floats"]
+        assert files["spelled"] == files["floats"]
 
     def test_custom_bundle(self, tmp_path):
         config = ExperimentConfig(

@@ -802,6 +802,26 @@ def _resident_bytes() -> int:
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+def _no_libc_version(name):
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("confstr", [lambda name: None, _no_libc_version], ids=["none", "unknown-name"])
+def test_no_malloc_trim_off_glibc(monkeypatch, confstr):
+    # os.confstr answers None, or refuses the name, where the C library is not glibc
+    monkeypatch.setattr(fem.os, "confstr", confstr)
+    assert fem._glibc_malloc_trim() is None
+
+
+def test_release_free_heap_trims_only_with_malloc_trim(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fem, "_MALLOC_TRIM", calls.append)
+    release_free_heap()
+    assert calls == [0]
+    monkeypatch.setattr(fem, "_MALLOC_TRIM", None)
+    assert release_free_heap() is None  # a call of None would raise
+
+
 @pytest.mark.skipif(fem._MALLOC_TRIM is None, reason="needs glibc malloc_trim")
 def test_release_free_heap_returns_pages():
     # 64 KiB blocks come from the heap (glibc maps only blocks of at least

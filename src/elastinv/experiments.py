@@ -45,7 +45,10 @@ def _float_array(value, name: str, shape: tuple):
     entries = np.asarray(value, dtype=object)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in entries.flat):
         raise ConfigError(f"{name} must be numeric, got {value!r}")
-    arr = entries.astype(float) + 0.0
+    try:
+        arr = entries.astype(float) + 0.0
+    except OverflowError:  # an integer past the float range is no finite number
+        arr = np.array(math.inf)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
@@ -148,7 +151,7 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(d) - known
         if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+            raise ConfigError(f"unknown config keys: {sorted(map(str, extra))}")
         try:
             return cls(**d)
         except TypeError as exc:
@@ -168,6 +171,9 @@ class ExperimentConfig:
 
 # -- truth fields ----------------------------------------------------------
 
+# the keys each truth type reads besides "type"
+TRUTH_READS = {"constant": ("lam", "mu"), "radial-mu": ("lam",), "gaussian-bumps-lambda": (), "file": ("path",)}
+
 
 def _check_truth(spec) -> dict:
     """The entries of spec that its type reads, moduli as floats, or ConfigError unless spec is a truth
@@ -175,27 +181,20 @@ def _check_truth(spec) -> dict:
     the type does not read."""
     if not isinstance(spec, dict):
         raise ConfigError(f"truth must be an object, got {spec!r}")
-    unread = sorted(map(str, set(spec) - {"type", "lam", "mu", "path"}))
+    unread = sorted(map(str, set(spec) - {"type"}.union(*TRUTH_READS.values())))
     if unread:
         raise ConfigError(f"truth keys {unread} are read by no truth type")
     kind = spec.get("type", "constant")
-    moduli = ()  # the Lame moduli the spec gives
-    if kind == "constant":
-        moduli = reads = ("lam", "mu")
-    elif kind == "radial-mu":
-        reads = ("lam",)  # 1 unless given
-        moduli = reads if "lam" in spec else ()
-    elif kind == "file":
-        reads = ("path",)
-        if not isinstance(spec.get("path"), str):
-            raise ConfigError(f"file truth needs a string path, got {spec.get('path')!r}")
-    elif kind == "gaussian-bumps-lambda":
-        reads = ()
-    else:
+    if not (isinstance(kind, str) and kind in TRUTH_READS):
         raise ConfigError(f"unknown truth field type {kind!r}")
+    if kind == "file" and not isinstance(spec.get("path"), str):
+        raise ConfigError(f"file truth needs a string path, got {spec.get('path')!r}")
     a, b, c, d = DEFAULT_BOUNDS
     box = {"lam": [a, b], "mu": [c, d]}
+    reads = TRUTH_READS[kind]
     read = {key: spec[key] for key in ("type", *reads) if key in spec}
+    # a constant truth gives both moduli; a radial-mu truth may leave lam at 1
+    moduli = [key for key in reads if key in box and (kind == "constant" or key in spec)]
     for key in moduli:
         read[key] = _float_array(spec.get(key), f"truth {key}", ())
         if not box[key][0] <= read[key] <= box[key][1]:

@@ -17,6 +17,7 @@ from elastinv.experiments import (
     FIELD_CHUNK,
     PER_ELEMENT_BOUNDS,
     READS,
+    TRUTH_READS,
     ConfigError,
     ExperimentConfig,
     bump_centroids,
@@ -175,6 +176,25 @@ class TestConfig:
             ExperimentConfig(**bad)
 
     @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"loads": [[0.1, 10**400]]}, "loads"),
+            ({"kind": "custom", "initial": (1.0, -(10**400))}, "initial"),
+            ({"dirichlet_arc": (0.0, 10**400)}, "dirichlet_arc"),
+            ({"kind": "custom", "noise": 10**400}, "noise"),
+            ({"kind": "forward", "truth": {"type": "constant", "lam": 10**400, "mu": 7.0}}, "truth lam"),
+        ],
+    )
+    def test_integer_past_the_float_range_is_not_finite(self, bad, name):
+        # float() of such an integer raises OverflowError, which no caller takes for a config error
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+            ExperimentConfig(**bad)
+
+    def test_unknown_keys_of_mixed_types_are_named(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['1', 'x'\]"):
+            ExperimentConfig.from_dict({1: 2, "x": 3})
+
+    @pytest.mark.parametrize(
         "field",
         [
             {"dirichlet_arc": ["3.0", "6.0"]},
@@ -295,6 +315,28 @@ class TestTruthFields:
         mesh = generate_disk_mesh(0.3)
         with pytest.raises(ConfigError):
             truth_field({"type": "checkerboard"}, mesh)
+
+    @pytest.mark.parametrize("kind", [["constant"], {}], ids=["list", "dict"])
+    def test_non_string_type_is_unknown(self, kind):
+        with pytest.raises(ConfigError, match="unknown truth field type"):
+            truth_field({"type": kind}, generate_disk_mesh(0.3))
+        with pytest.raises(ConfigError, match="unknown truth field type"):
+            ExperimentConfig(kind="forward", truth={"type": kind})
+
+    @pytest.mark.parametrize(
+        "kind, keys", [*TRUTH_READS.items(), ("radial-mu", ())], ids=[*TRUTH_READS, "radial-mu-without-lam"]
+    )
+    def test_each_type_samples_from_its_read_keys(self, tmp_path, kind, keys):
+        """A spec of exactly the keys TRUTH_READS gives its type passes the
+        config and samples a field, so a type without a sampling branch fails."""
+        mesh = generate_disk_mesh(0.3)
+        path = tmp_path / "truth.txt"
+        np.savetxt(path, np.tile([2.0, 5.0], (mesh.n_elements, 1)))
+        values = {"lam": 2.0, "mu": 5.0, "path": str(path)}
+        spec = {"type": kind, **{key: values[key] for key in keys}}
+        assert ExperimentConfig(kind="forward", truth=spec).truth == spec
+        field = truth_field(spec, mesh)
+        assert isinstance(field, LameField) and len(field.lam) == len(field.mu) == mesh.n_elements
 
     def test_file(self, tmp_path):
         mesh = generate_disk_mesh(0.3)
@@ -791,15 +833,19 @@ class TestCli:
              ["gaussian-bumps-lambda truth", "'lam'"]),
             ({"kind": "custom", "truth": {"lam": 3, "mu": 7, "path": "field.txt"}}, ["constant truth", "'path'"]),
             ({"kind": "custom", "truth": {"type": "file", "path": "field.txt", "mu": 7}}, ["file truth", "'mu'"]),
+            # integers past the float range, which float() refuses with OverflowError
+            ({"kind": "forward", "target_h": 10**400}, ["target_h", "finite"]),
+            ({"kind": "forward", "truth": {"type": "constant", "lam": 3, "mu": 10**400}}, ["truth mu", "finite"]),
         ],
         ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing",
-             "truth-key-misspelled", "radial-mu-truth-mu", "bumps-truth-lam", "constant-truth-path", "file-truth-mu"],
+             "truth-key-misspelled", "radial-mu-truth-mu", "bumps-truth-lam", "constant-truth-path", "file-truth-mu",
+             "target-h-past-float-range", "truth-mu-past-float-range"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
         monkeypatch.chdir(tmp_path)  # where no truth file exists
         monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**config, "target_h": 0.3}))
+        cfg.write_text(json.dumps({"target_h": 0.3, **config}))
         out = tmp_path / "out"
         code = main([config["kind"], "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG

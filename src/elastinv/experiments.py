@@ -43,6 +43,9 @@ def _float_array(value, name: str, shape: tuple):
     refused, and -0.0 is stored as 0.0, so that 0, 0.0 and -0.0 write one bundle.
     """
     entries = np.asarray(value, dtype=object)
+    # numpy holds the inner lists of a ragged list as entries: such a list has no shape
+    if any(isinstance(v, (list, tuple, np.ndarray)) for v in entries.flat):
+        entries = np.empty(0, dtype=object)
     if not all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in entries.flat):
         raise ConfigError(f"{name} must be numeric, got {value!r}")
     try:
@@ -132,11 +135,7 @@ class ExperimentConfig:
         if self.truth.get("type") == "file":
             if self.data_mesh == "refine":
                 raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
-            # its row count needs the mesh: truth_field checks it
-            path = Path(self.truth["path"])
-            if not (path.is_file() and os.access(path, os.R_OK)):
-                raise ConfigError(f"bad truth file {path}: not a readable regular file")
-            _file_truth(path)
+            _file_truth(self.truth["path"])  # its row count needs the mesh: truth_field checks it
         if recon:
             a, b, c, d = recon.bounds
             if not (a <= self.initial[0] <= b and c <= self.initial[1] <= d):
@@ -203,9 +202,11 @@ def _check_truth(spec) -> dict:
 
 
 def _file_truth(path) -> LameField:
-    """The (lam, mu) table of a file truth, or ConfigError unless it has two
-    columns of finite moduli in DEFAULT_BOUNDS."""
-    try:
+    """The (lam, mu) table of a file truth, or ConfigError unless the path names a readable regular
+    file of two columns of finite moduli in DEFAULT_BOUNDS; each OSError of the path is one too."""
+    try:  # np.loadtxt would block on a FIFO or /dev/zero
+        if not (Path(path).is_file() and os.access(path, os.R_OK)):
+            raise OSError("not a readable regular file")
         data = np.loadtxt(path, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"expected rows of (lam, mu), got shape {data.shape}")
@@ -471,7 +472,7 @@ def run_monotonicity(config: ExperimentConfig) -> ResultBundle:
     loads = [SurfaceLoad(constant=tuple(g)) for g in config.loads]
     records, violations = [], []
     for i, (s1, s2) in enumerate(_ordered_pairs(config)):
-        gap = ntd.loewner_gap(ntd.build_ntd(s1), ntd.build_ntd(s2))
+        gap = ntd.loewner_gap(s1, s2)
         rec = {"pair": i, "loewner_gap": gap, "sandwich": []}
         if gap < -ntd.ORDER_TOL:
             violations.append({"pair": i, "kind": "loewner", "gap": gap})
@@ -501,7 +502,7 @@ def run_stability(config: ExperimentConfig) -> ResultBundle:
         if dp == 0.0:
             skipped += 1
             continue
-        dop = ntd.operator_distance(ntd.build_ntd(s1), ntd.build_ntd(s2))
+        dop = ntd.operator_distance(s1, s2)
         dps.append(dp)
         dops.append(dop)
         ratios.append(dp / dop if dop > 0.0 else float("inf"))

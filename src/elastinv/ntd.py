@@ -35,16 +35,8 @@ class OrderError(ValueError):
     """A parameter pair does not satisfy the required pointwise ordering."""
 
 
-@dataclass(eq=False)
-class NtDOperator:
-    """Matrix realization of the load-to-trace map on Neumann nodal dofs."""
-
-    matrix: np.ndarray          # (2m, 2m), load coefficients -> trace coefficients
-    boundary_mass: np.ndarray   # (2m, 2m) dense SPD
-
-
-def build_ntd(solver: ElasticitySolver) -> NtDOperator:
-    """The NtD matrix of the solver's field on the Neumann trace space.
+def build_ntd(solver: ElasticitySolver) -> np.ndarray:
+    """The (2m, 2m) NtD matrix of the solver's field on the Neumann trace space.
 
     Column j is the trace of the traction solve for the j-th nodal hat load;
     the hat loads are solved in blocks against the solver's factorization.
@@ -55,7 +47,7 @@ def build_ntd(solver: ElasticitySolver) -> NtDOperator:
     for start in range(0, coeffs.shape[1], NTD_BLOCK):
         cols = slice(start, start + NTD_BLOCK)
         traces[:, cols] = solver.solve_neumann(coeffs[:, cols])[disc.trace_dofs]
-    return NtDOperator(traces, disc.boundary_mass.toarray())
+    return traces
 
 
 @dataclass(frozen=True)
@@ -100,32 +92,31 @@ def monotonicity_sandwich(
     return terms
 
 
-def _symmetrized_eigs(op1: NtDOperator, op2: NtDOperator) -> np.ndarray:
-    """Eigenvalues of the difference operator in the M-weighted geometry.
+def _symmetrized_eigs(s1: ElasticitySolver, s2: ElasticitySolver) -> np.ndarray:
+    """Eigenvalues of NtD(C1) - NtD(C2), for solvers s1, s2 of C1, C2 on one mesh.
 
     Solves the generalized symmetric problem sym(M (L1 - L2)) x = theta M x,
-    which is the discrete spectrum of L1 - L2 as a self-adjoint operator on
-    the weighted trace space.
+    with M the mesh's boundary mass, which is the discrete spectrum of L1 - L2
+    as a self-adjoint operator on the weighted trace space.
     """
-    M = op1.boundary_mass
-    A = M @ (op1.matrix - op2.matrix)
+    M = s1.disc.boundary_mass.toarray()
+    A = M @ (build_ntd(s1) - build_ntd(s2))
     A = 0.5 * (A + A.T)
     return scipy.linalg.eigh(A, M, eigvals_only=True)
 
 
-def loewner_gap(op_lower: NtDOperator, op_upper: NtDOperator) -> float:
+def loewner_gap(s_lower: ElasticitySolver, s_upper: ElasticitySolver) -> float:
     """Smallest weighted eigenvalue of NtD(lower) - NtD(upper).
 
-    For a pointwise-ordered pair (the operators of OrderedPair.field_1 and
-    field_2) the monotonicity result predicts the gap is nonnegative up to
-    eigen-solve noise.
+    For the solvers of an OrderedPair's field_1 and field_2 the monotonicity
+    result predicts a gap that is nonnegative up to eigen-solve noise.
     """
-    return float(_symmetrized_eigs(op_lower, op_upper).min())
+    return float(_symmetrized_eigs(s_lower, s_upper).min())
 
 
-def operator_distance(op1: NtDOperator, op2: NtDOperator) -> float:
-    """Operator norm of the difference on the weighted trace space."""
-    return float(np.abs(_symmetrized_eigs(op1, op2)).max())
+def operator_distance(s1: ElasticitySolver, s2: ElasticitySolver) -> float:
+    """Operator norm of NtD(C1) - NtD(C2) on the weighted trace space."""
+    return float(np.abs(_symmetrized_eigs(s1, s2)).max())
 
 
 def parameter_distance(field_1: LameField, field_2: LameField) -> float:

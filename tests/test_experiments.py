@@ -168,6 +168,9 @@ class TestConfig:
             ({"loads": [[0.1]]}, "loads"),
             ({"seed": -1}, "seed"),
             ({"kind": "stability", "n_pairs": 0}, "n_pairs"),
+            # a ragged list, whose inner lists numpy holds as entries, reads as the wrong shape
+            ({"loads": [[0.1, 0.2], [0.3]]}, "loads must be a non-empty list of pairs"),
+            ({"dirichlet_arc": [1.0, [2.0]]}, "dirichlet_arc must be a pair of numbers"),
         ],
     )
     def test_range_errors_name_the_config_field(self, bad, name):
@@ -356,6 +359,15 @@ class TestTruthFields:
         path.write_text(row * (mesh.n_elements if per_element else 1))
         with pytest.raises(ConfigError):
             truth_field({"type": "file", "path": str(path)}, mesh)
+
+    @pytest.mark.parametrize("kind", ["too-long", "directory"])
+    def test_path_that_names_no_regular_file_is_config_error(self, tmp_path, kind):
+        """Each OSError of the path reads "bad truth file", with the config and in truth_field alike."""
+        spec = {"type": "file", "path": {"too-long": "a" * 5000, "directory": str(tmp_path)}[kind]}
+        with pytest.raises(ConfigError, match="^bad truth file"):
+            ExperimentConfig(kind="forward", truth=spec)
+        with pytest.raises(ConfigError, match="^bad truth file"):
+            truth_field(spec, generate_disk_mesh(0.3))
 
     def test_file_truth_is_read_once_per_run(self, tmp_path, monkeypatch):
         """Once by the config check and once by the run, which samples a
@@ -836,10 +848,13 @@ class TestCli:
             # integers past the float range, which float() refuses with OverflowError
             ({"kind": "forward", "target_h": 10**400}, ["target_h", "finite"]),
             ({"kind": "forward", "truth": {"type": "constant", "lam": 3, "mu": 10**400}}, ["truth mu", "finite"]),
+            # a path past the file system's name length, which Path.is_file() refuses with OSError
+            ({"kind": "forward", "truth": {"type": "file", "path": "a" * 5000}}, ["truth file", "too long"]),
+            ({"kind": "forward", "loads": [[0.1, 0.2], [0.3]]}, ["loads", "list of pairs"]),
         ],
         ids=["arc-width", "file-truth-refine", "truth-lam-above-box", "truth-lam-below-box", "file-truth-missing",
              "truth-key-misspelled", "radial-mu-truth-mu", "bumps-truth-lam", "constant-truth-path", "file-truth-mu",
-             "target-h-past-float-range", "truth-mu-past-float-range"],
+             "target-h-past-float-range", "truth-mu-past-float-range", "file-truth-path-too-long", "ragged-loads"],
     )
     def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
         monkeypatch.chdir(tmp_path)  # where no truth file exists

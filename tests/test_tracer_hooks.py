@@ -130,3 +130,24 @@ def test_factor_fill_is_counted_per_field(tracing):
     lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements)).free.factor
     assert metrics["fem.factorizations"]["value"] == 2
     assert metrics["fem.factor_nnz"]["value"] == 2 * (lu.L.nnz + lu.U.nnz)
+
+
+@pytest.mark.parametrize("kind, sandwich_solves", [("stability", 0), ("monotonicity", 2)])
+def test_each_pair_check_builds_its_ntd_matrices_through_the_module(tracing, kind, sandwich_solves):
+    """Both NtD pair checks build the two matrices of each pair with ntd.build_ntd,
+    where the tracer patches it, and solve the same hat loads as ever."""
+    config = ExperimentConfig(kind=kind, target_h=0.3, n_pairs=2)
+    m = len(build_mesh(config, config.target_h).neumann_nodes)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        experiments.run_experiment(config)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    assert metrics["ntd.build_ntd_calls"]["value"] == 2 * config.n_pairs
+    # per pair: each field's 2m hat loads in blocks, and the sandwich's one block of loads per field
+    blocks = math.ceil(2 * m / ntd.NTD_BLOCK)
+    assert metrics["fem.solve_neumann_calls"]["value"] == config.n_pairs * (2 * blocks + sandwich_solves)

@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -207,12 +208,14 @@ def _file_truth(path) -> LameField:
     try:  # np.loadtxt would block on a FIFO or /dev/zero
         if not (Path(path).is_file() and os.access(path, os.R_OK)):
             raise OSError("not a readable regular file")
-        data = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():  # np.loadtxt warns on a file of no rows: the shape check reports it
+            warnings.simplefilter("ignore")
+            data = np.loadtxt(path, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"expected rows of (lam, mu), got shape {data.shape}")
         return LameField(data[:, 0], data[:, 1])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad truth file {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # an OSError's str repeats the path; its strerror does not
+        raise ConfigError(f"bad truth file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def truth_field(spec: dict, mesh: Mesh) -> LameField:

@@ -63,7 +63,7 @@ def release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-# the admissible box (a, b, c, d) of lam in [a, b] and mu in [c, d] unless one is given
+# the admissible box (a, b, c, d) of every LameField: lam in [a, b] and mu in [c, d]
 DEFAULT_BOUNDS = (1e-6, 1e6, 1e-6, 1e6)
 
 
@@ -73,26 +73,20 @@ class FemError(RuntimeError):
 
 @dataclass(eq=False)
 class LameField:
-    """Per-element Lame parameters with admissibility bounds (a, b, c, d).
-
-    Requires a <= lam <= b and c <= mu <= d elementwise with 0 < a, 0 < c.
-    """
+    """Per-element Lame parameters, finite and inside DEFAULT_BOUNDS elementwise."""
 
     lam: np.ndarray
     mu: np.ndarray
-    bounds: tuple[float, float, float, float] = DEFAULT_BOUNDS
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         self.mu = np.asarray(self.mu, dtype=float)
-        a, b, c, d = self.bounds
-        if not (0 < a <= b and 0 < c <= d):
-            raise ValueError(f"invalid bounds {self.bounds}")
         if self.lam.shape != self.mu.shape or self.lam.ndim != 1:
             raise ValueError("lam and mu must be 1-d arrays of equal length")
         # NaN passes the min/max bound checks below, so test finiteness first
         if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.mu))):
             raise ValueError("lam and mu must be finite")
+        a, b, c, d = DEFAULT_BOUNDS
         if self.lam.min(initial=np.inf) < a or self.lam.max(initial=-np.inf) > b:
             raise ValueError("lam outside admissible bounds")
         if self.mu.min(initial=np.inf) < c or self.mu.max(initial=-np.inf) > d:
@@ -108,13 +102,16 @@ class RegionParameterization:
 
     The finite-dimensional subspace of the stability estimate: regions[e] is
     element e's region, x stacks the r region values of lam and then of mu,
-    and the box (a, b, c, d) holds lam in [a, b] and mu in [c, d].  One
-    region gives constant fields, np.arange(n_elements) per-element ones.
+    and the box (a, b, c, d), ordered and inside DEFAULT_BOUNDS, holds lam in
+    [a, b] and mu in [c, d].  One region gives constant fields,
+    np.arange(n_elements) per-element ones.
     """
 
     def __init__(self, regions: np.ndarray, bounds=DEFAULT_BOUNDS):
+        if not (bounds[0] <= bounds[1] and bounds[2] <= bounds[3]):
+            raise ValueError(f"unordered box {bounds}")
+        LameField(np.array(bounds[:2]), np.array(bounds[2:]))  # raises unless the box lies in DEFAULT_BOUNDS
         self.regions = np.asarray(regions)
-        self.bounds = bounds
         self.n_regions = r = int(self.regions.max()) + 1
         self.lower = np.repeat(np.array(bounds[0::2], dtype=float), r)
         self.upper = np.repeat(np.array(bounds[1::2], dtype=float), r)
@@ -127,7 +124,7 @@ class RegionParameterization:
 
     def to_field(self, x: np.ndarray) -> LameField:
         r = self.n_regions
-        return LameField(x[:r][self.regions], x[r:][self.regions], bounds=self.bounds)
+        return LameField(x[:r][self.regions], x[r:][self.regions])
 
     def reduce_gradient(self, g_lam: np.ndarray, g_mu: np.ndarray) -> np.ndarray:
         """The per-element derivatives summed over each region, lam then mu.

@@ -3,15 +3,19 @@ import gc
 import importlib.util
 import json
 import math
+import os
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from elastinv import experiments, fem, inversion, ntd
-from elastinv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, build_parser, config_from_args, main
+from elastinv.cli import (
+    EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, build_parser, check_out, config_from_args, main,
+)
 from elastinv.experiments import (
     DISCREPANCY_TAU,
     FIELD_CHUNK,
@@ -58,6 +62,21 @@ UNREAD = [
     for f in dataclasses.fields(ExperimentConfig)
     if f.name not in reads
 ]
+
+
+@pytest.fixture
+def unreadable_table(tmp_path, monkeypatch):
+    """A regular truth table that os.access refuses to read, as it would for a user without read
+    permission (the tests may run as root, who reads every file); write and search access pass."""
+    table = tmp_path / "field.txt"
+    table.write_text("2.0 5.0\n" * 50)
+    access = os.access
+
+    def deny_read(path, mode, *args, **kwargs):
+        return not mode & os.R_OK and access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", deny_read)
+    return table
 
 
 class TestConfig:
@@ -348,10 +367,12 @@ class TestTruthFields:
         field = truth_field({"type": "file", "path": str(path)}, mesh)
         assert np.all(field.lam == 2.0) and field.mu[-1] == mesh.n_elements
 
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a file of no rows
     @pytest.mark.parametrize(
         "row, per_element",
-        [("1.0 2.0\n", False), ("1.0 2.0 3.0\n", True), ("a b\n", True), ("1.0 nan\n", True)],
-        ids=["one-row", "three-columns", "text", "nan"],
+        [("1.0 2.0\n", False), ("1.0 2.0 3.0\n", True), ("a b\n", True), ("1.0 nan\n", True), ("", False),
+         ("# lam mu (one element per line)\n", False)],
+        ids=["one-row", "three-columns", "text", "nan", "empty", "header-only"],
     )
     def test_bad_file_is_config_error(self, tmp_path, row, per_element):
         mesh = generate_disk_mesh(0.3)
@@ -362,11 +383,21 @@ class TestTruthFields:
 
     @pytest.mark.parametrize("kind", ["too-long", "directory"])
     def test_path_that_names_no_regular_file_is_config_error(self, tmp_path, kind):
-        """Each OSError of the path reads "bad truth file", with the config and in truth_field alike."""
+        """Each OSError of the path reads "bad truth file", with the config and in truth_field alike,
+        and names the path once (an OSError's own text repeats it)."""
         spec = {"type": "file", "path": {"too-long": "a" * 5000, "directory": str(tmp_path)}[kind]}
-        with pytest.raises(ConfigError, match="^bad truth file"):
+        with pytest.raises(ConfigError, match="^bad truth file") as from_config:
             ExperimentConfig(kind="forward", truth=spec)
-        with pytest.raises(ConfigError, match="^bad truth file"):
+        with pytest.raises(ConfigError, match="^bad truth file") as from_mesh:
+            truth_field(spec, generate_disk_mesh(0.3))
+        for exc in (from_config, from_mesh):
+            assert str(exc.value).count(spec["path"]) == 1
+
+    def test_unreadable_file_is_config_error(self, unreadable_table):
+        spec = {"type": "file", "path": str(unreadable_table)}
+        with pytest.raises(ConfigError, match="^bad truth file .*not a readable regular file"):
+            ExperimentConfig(kind="forward", truth=spec)
+        with pytest.raises(ConfigError, match="^bad truth file .*not a readable regular file"):
             truth_field(spec, generate_disk_mesh(0.3))
 
     def test_file_truth_is_read_once_per_run(self, tmp_path, monkeypatch):
@@ -538,7 +569,8 @@ class TestFieldTables:
         values = np.array([1e-06, 2.5e-05, 123456.789, 0.1 + 0.2, 1e16])
         rng = np.random.default_rng(4)
         n = FIELD_CHUNK + 7
-        field = LameField(rng.choice(values, n), rng.choice(values[::-1], n), bounds=(1e-9, 1e17, 1e-9, 1e17))
+        # 1e16 lies past DEFAULT_BOUNDS, so a stand-in carries the two arrays _write_field reads
+        field = SimpleNamespace(lam=rng.choice(values, n), mu=rng.choice(values[::-1], n))
         experiments._write_field(tmp_path / "field.txt", field)
         assert (tmp_path / "field.txt").read_bytes() == reference_field_table(field)
 
@@ -868,14 +900,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(name in err for name in names)
 
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a file of no rows
     @pytest.mark.parametrize(
         "row, names",
         [("1.0 2.0 3.0\n", ["(50, 3)"]), ("1.0 nan\n", ["finite"]), ("1.0 two\n", ["'two'"]),
-         ("1.0 -2.0\n", ["mu", "bounds"])],
-        ids=["three-columns", "nan", "word", "negative-modulus"],
+         ("1.0 -2.0\n", ["mu", "bounds"]), ("", ["(0, 1)"])],
+        ids=["three-columns", "nan", "word", "negative-modulus", "empty"],
     )
     def test_malformed_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, row, names):
-        """A file truth's table is read with the config; only its row count waits for the mesh."""
+        """A file truth's table is read with the config, and its error is one stderr line; only its
+        row count waits for the mesh."""
         experiments._partitioned_mesh.cache_clear()  # a cached mesh would skip the patched generator
         monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         table = tmp_path / "field.txt"
@@ -888,6 +922,18 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert all(name in err for name in ["truth file", str(table), *names])
+        assert len(err.splitlines()) == 1
+
+    def test_unreadable_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, unreadable_table):
+        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+        out = tmp_path / "out"
+        check_out(str(out))  # the stand-in for os.access passes the --out check's write and search access
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "truth": {"type": "file", "path": str(unreadable_table)}}))
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"bad truth file {unreadable_table}: not a readable regular file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
     def test_out_that_cannot_be_made_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, sub):

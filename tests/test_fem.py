@@ -14,6 +14,7 @@ from scipy.spatial import Delaunay
 
 from elastinv import fem
 from elastinv.fem import (
+    DEFAULT_BOUNDS,
     ElasticitySolver,
     FemError,
     LameField,
@@ -82,12 +83,16 @@ class TestIsotropicStress:
 
 class TestLameField:
     def test_bounds_guard(self):
-        with pytest.raises(ValueError):
-            LameField(np.array([0.0]), np.array([1.0]), bounds=(0.1, 1.0, 0.1, 1.0))
-        with pytest.raises(ValueError):
-            LameField(np.array([1.0]), np.array([2.0]), bounds=(0.1, 1.0, 0.1, 1.0))
-        with pytest.raises(ValueError):
-            LameField(np.array([1.0]), np.array([1.0]), bounds=(0.0, 1.0, 0.1, 1.0))
+        a, b, c, d = DEFAULT_BOUNDS
+        LameField(np.array([a, b]), np.array([c, d]))  # the box's edges are admissible
+        with pytest.raises(ValueError, match="lam outside"):
+            LameField(np.array([np.nextafter(a, 0.0)]), np.array([1.0]))
+        with pytest.raises(ValueError, match="lam outside"):
+            LameField(np.array([np.nextafter(b, np.inf)]), np.array([1.0]))
+        with pytest.raises(ValueError, match="mu outside"):
+            LameField(np.array([1.0]), np.array([np.nextafter(c, 0.0)]))
+        with pytest.raises(ValueError, match="mu outside"):
+            LameField(np.array([1.0]), np.array([np.nextafter(d, np.inf)]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):

@@ -214,8 +214,8 @@ class TestGradient:
             coarse_mesh.boundary_edges.copy(),
             coarse_mesh.clamped.copy(),
         )
-        field_p = LameField(field.lam[perm], field.mu[perm], bounds=field.bounds)
-        truth_p = LameField(truth.lam[perm], truth.mu[perm], bounds=truth.bounds)
+        field_p = LameField(field.lam[perm], field.mu[perm])
+        truth_p = LameField(truth.lam[perm], truth.mu[perm])
         meas_p = generate_measurements(shuffled, truth_p, loads)
         gl_p, gm_p = kv_gradient(field_p, shuffled, meas_p, 0.0)
         assert np.allclose(gl_p, g_lam[perm], rtol=1e-9, atol=1e-14)
@@ -238,12 +238,25 @@ class TestRegionParameterization:
         assert param.n_regions == {"one": 1, "element": medium_mesh.n_elements, "quadrant": 4}[name]
         x = np.random.default_rng(14).uniform(param.lower, param.upper)
         field = param.to_field(x)
-        assert field.bounds == param.bounds
+        assert 0.5 <= field.lam.min() and field.lam.max() <= 4.0
+        assert 0.5 <= field.mu.min() and field.mu.max() <= 8.0
         # every element of a region carries that region's values
         lam, mu = np.zeros(param.n_regions), np.zeros(param.n_regions)
         lam[regions], mu[regions] = field.lam, field.mu
         assert np.array_equal(np.concatenate([lam, mu]), x)
         assert np.array_equal(field.lam, lam[regions]) and np.array_equal(field.mu, mu[regions])
+
+    @pytest.mark.parametrize(
+        "box",
+        [(2.0, 1.0, 0.5, 8.0), (0.5, 4.0, 8.0, 0.5), (0.0, 1.0, 0.1, 1.0), (0.5, 4.0, 0.5, 1e7),
+         (math.nan, 4.0, 0.5, 8.0), (0.5, 4.0, 0.5, math.inf)],
+        ids=["lam-unordered", "mu-unordered", "below", "above", "nan", "inf"],
+    )
+    def test_box_checked_when_built(self, box):
+        """A box must be ordered and lie inside DEFAULT_BOUNDS, which bounds every field; a field
+        carries no box of its own."""
+        with pytest.raises(ValueError):
+            RegionParameterization(np.zeros(3, dtype=int), box)
 
     @pytest.mark.parametrize("name", REGION_MAPS)
     def test_reduction_is_pairwise_sum(self, medium_mesh, name):

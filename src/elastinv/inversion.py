@@ -20,6 +20,7 @@ import numpy as np
 
 from .fem import (
     ElasticitySolver,
+    FemError,
     LameField,
     RegionParameterization,
     SurfaceLoad,
@@ -94,29 +95,18 @@ def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndar
     """Move a Neumann trace between disk meshes by angular interpolation.
 
     Both meshes have their boundary nodes on the unit circle, so a trace is a
-    function of the polar angle along the Neumann arc, from one clamped
-    interface node to the other, where it vanishes.  Values at the target's
-    Neumann nodes are linearly interpolated in that angle, and zero past the
-    data mesh's interface nodes (used for inverse-crime control).
+    periodic function of the polar angle that vanishes on the clamped arc.
+    Values at the target's Neumann nodes are linearly interpolated in that
+    angle over the data mesh's whole boundary ring, zero on its clamped
+    nodes (used for inverse-crime control).
     """
-
-    # the Neumann edges run counter-clockwise from one interface node to the
-    # other; the arc coordinate is the angle past the first
-    a, b = data_mesh.neumann_edges.T
-    x0, y0 = data_mesh.nodes[np.setdiff1d(a, b)[0]]
-    start = math.atan2(y0, x0)
-
-    def arc_angle(mesh, nodes):
-        x, y = mesh.nodes[nodes].T
-        return np.mod(np.arctan2(y, x) - start, 2.0 * np.pi)
-
-    arc_nodes = np.unique(data_mesh.neumann_edges)
-    values = np.zeros((len(arc_nodes), 2))
-    values[np.searchsorted(arc_nodes, data_mesh.neumann_nodes)] = f
-    src = arc_angle(data_mesh, arc_nodes)
-    order = np.argsort(src)
-    tgt = arc_angle(target_mesh, target_mesh.neumann_nodes)
-    return np.column_stack([np.interp(tgt, src[order], values[order, c]) for c in (0, 1)])
+    ring = np.unique(data_mesh.boundary_edges)
+    values = np.zeros((len(ring), 2))
+    values[np.searchsorted(ring, data_mesh.neumann_nodes)] = f
+    x, y = data_mesh.nodes[ring].T
+    tx, ty = target_mesh.nodes[target_mesh.neumann_nodes].T
+    src, tgt = np.arctan2(y, x), np.arctan2(ty, tx)
+    return np.column_stack([np.interp(tgt, src, values[:, c], period=2.0 * np.pi) for c in (0, 1)])
 
 
 # -- functional and gradient ---------------------------------------------
@@ -251,7 +241,8 @@ def bfgs_minimize(
     or no Armijo step, the memory is dropped and steepest descent tried once.
     The gradient test reads the projected gradient: g without the components
     that point out of the box where x sits at a bound.  The run stops at the
-    first iterate with J <= config.target_j, when that is set.
+    first iterate with J <= config.target_j, when that is set.  A misfit at x0
+    that is not finite raises FemError.
     """
     run = InversionRun()
     x = np.asarray(x0, dtype=float)
@@ -282,6 +273,8 @@ def bfgs_minimize(
     if not np.array_equal(np.clip(x, lower, upper), x):
         raise ValueError("initial point is infeasible")
     j, g, run.final_field, gnorm = evaluate(x)
+    if not math.isfinite(j):
+        raise FemError(f"misfit at the initial point is {j!r}, not finite")
     lbfgs = _LBfgsDirection()
     while True:
         run.j_history.append(j)

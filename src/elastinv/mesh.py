@@ -54,7 +54,7 @@ class BoundaryPartitionSpec:
 class Mesh:
     """Conforming triangulation whose boundary edges are each clamped or loaded.
 
-    nodes          : (n, 2) float array of coordinates
+    nodes          : (n, 2) float array of finite coordinates
     triangles      : (m, 3) int array, counter-clockwise node triples
     boundary_edges : (b, 2) int array, consecutive boundary node pairs
     clamped        : (b,) bool array, True on the Dirichlet edges
@@ -71,6 +71,8 @@ class Mesh:
         self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
         self.clamped = np.asarray(self.clamped)
         n = self.n_nodes
+        if not np.isfinite(self.nodes).all():
+            raise MeshError("node coordinates must be finite")
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= n
         ):

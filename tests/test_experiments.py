@@ -999,6 +999,16 @@ class TestCli:
         assert not out.exists()
         assert "solver failure" in capsys.readouterr().err
 
+    def test_non_finite_initial_misfit_exits_3(self, tmp_path, capsys):
+        # finite loads whose misfit overflows: no row of 0 iterations and Infinity in results.json
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"loads": [[1e200, 0]]}))
+        out = tmp_path / "big"
+        code = main(["custom", "--mesh-h", "0.3", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert not out.exists()
+        assert "solver failure" in capsys.readouterr().err
+
     def test_invariant_violation_exits_4_after_writing_the_bundle(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ntd, "loewner_gap", lambda a, b: -1.0)
         monkeypatch.setattr(ntd, "monotonicity_sandwich", lambda s1, s2, loads: [(0.0, 1.0, 0.0)] * len(loads))

@@ -541,6 +541,43 @@ def _beyond_span(data_mesh, f, target_mesh, arc):
     return rows + [(k, f[last]) for k in np.flatnonzero(tgt > src[last])]
 
 
+def reference_transfer_trace(data_mesh, f, target_mesh):
+    """The arc-by-arc transfer that transfer_trace replaced: the angle past
+    the first interface node of the Neumann edge chain, over the arc's nodes
+    padded with zeros at the two interface nodes, sorted."""
+    a, b = data_mesh.neumann_edges.T
+    x0, y0 = data_mesh.nodes[np.setdiff1d(a, b)[0]]
+    start = math.atan2(y0, x0)
+
+    def arc_angle(mesh, nodes):
+        x, y = mesh.nodes[nodes].T
+        return np.mod(np.arctan2(y, x) - start, 2.0 * np.pi)
+
+    arc_nodes = np.unique(data_mesh.neumann_edges)
+    values = np.zeros((len(arc_nodes), 2))
+    values[np.searchsorted(arc_nodes, data_mesh.neumann_nodes)] = f
+    src = arc_angle(data_mesh, arc_nodes)
+    order = np.argsort(src)
+    tgt = arc_angle(target_mesh, target_mesh.neumann_nodes)
+    return np.column_stack([np.interp(tgt, src[order], values[order, c]) for c in (0, 1)])
+
+
+class TestTraceTransferMatchesReference:
+    @pytest.mark.parametrize("arc", [*TRANSFER_ARCS, (0.3, 2.0), (5.0, 7.0)])
+    def test_random_traces(self, arc):
+        """The periodic interpolation over the whole boundary ring agrees with
+        the arc-by-arc reference up to rounding, also where the Neumann arc
+        wraps through angle 0 (the upper-left default arc and (5.0, 7.0))."""
+        rng = np.random.default_rng(2024)
+        hs = [0.3, 0.2, 0.15, 0.1, 0.075]
+        for h_data, h_target in itertools.product(hs, hs):
+            data_mesh, target_mesh = _arc_mesh(h_data, arc), _arc_mesh(h_target, arc)
+            f = rng.standard_normal((len(data_mesh.neumann_nodes), 2))
+            moved = transfer_trace(data_mesh, f, target_mesh)
+            expected = reference_transfer_trace(data_mesh, f, target_mesh)
+            assert np.abs(moved - expected).max() <= 1e-13 * np.abs(f).max(), (h_data, h_target)
+
+
 class TestTraceTransferAcrossClampedArc:
     @pytest.mark.parametrize("arc", TRANSFER_ARCS)
     @given(

@@ -192,3 +192,11 @@ def test_invalid_mesh_rejected():
         Mesh(nodes, np.array([[0, 1, 2]]), edges, string_tags)
     with pytest.raises(MeshError):
         Mesh(nodes, np.array([[0, 1, 2]]), edges, np.array([True, False]))  # one short
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_node_rejected(bad):
+    # a NaN or infinite signed area is not <= 0, so the orientation check lets it through
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+    with pytest.raises(MeshError, match="finite"):
+        Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]), np.zeros(3, bool))

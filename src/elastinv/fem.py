@@ -265,6 +265,13 @@ class Discretization:
         return self.free_pattern.sub_block(self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2)
 
     @cached_property
+    def trace_last_pattern(self) -> "BlockPattern":
+        """The free block with the interior nodes first, in the interior
+        block's order, and the Neumann nodes last, its trailing rows trace_dofs."""
+        nodes = np.concatenate([self.interior_pattern.rows[0::2], self.trace_dofs[0::2]]) // 2
+        return self.free_pattern.sub_block(nodes, nodes)
+
+    @cached_property
     def trace_rows(self) -> np.ndarray:
         """The rows of the free block that hold trace_dofs, in their order: a traction load's right-hand side."""
         return self.free_pattern.row_positions(self.trace_dofs)

@@ -272,7 +272,8 @@ def bfgs_minimize(
 
     if not np.array_equal(np.clip(x, lower, upper), x):
         raise ValueError("initial point is infeasible")
-    j, g, run.final_field, gnorm = evaluate(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a misfit that overflows fails below, with one message
+        j, g, run.final_field, gnorm = evaluate(x)
     if not math.isfinite(j):
         raise FemError(f"misfit at the initial point is {j!r}, not finite")
     lbfgs = _LBfgsDirection()

@@ -70,6 +70,10 @@ class Mesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
         self.clamped = np.asarray(self.clamped)
+        for name, width in (("nodes", 2), ("triangles", 3), ("boundary_edges", 2)):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[1] != width:
+                raise MeshError(f"{name} must be a (k, {width}) array, got shape {shape}")
         n = self.n_nodes
         if not np.isfinite(self.nodes).all():
             raise MeshError("node coordinates must be finite")

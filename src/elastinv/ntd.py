@@ -17,18 +17,17 @@ import numpy as np
 import scipy.linalg
 
 from .fem import (
-    ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, load_coefficients, quadrant_regions,
-    strain_energy_density,
+    ElasticitySolver, FemError, LameField, RegionParameterization, SpdBlock, SurfaceLoad, load_coefficients,
+    quadrant_regions, strain_energy_density,
 )
 from .mesh import Mesh
 
 ORDER_TOL = 1e-8     # slack for inequalities obtained through eigen-solves
-# hat loads are solved NTD_BLOCK columns at a time; the factor solves column
-# by column, so the width moves no bit.  At h=0.08 (2m = 72), the benchmark's
-# ntd-campaign (6 runs each, 2-core x86-64, BLAS on one thread) read a median
-# campaign of 0.341 / 0.325 / 0.322 / 0.344 s and peak RSS of 77.5 / 77.9 /
-# 78.7 / 80.6 MB for widths 16 / 24 / 36 / 72
-NTD_BLOCK = 24
+# tolerance of build_ntd's probe, relative to the probe trace's largest entry.
+# The probe and the matrix come from one factor and miss by rounding: at most
+# 12 eps on both default arcs at h=0.3-0.02, per-element fields of 1e+-3
+# contrast.  A factor of K (1 + 1e-10) misses by 1e-10
+PROBE_TOL = 1e-12
 
 
 class OrderError(ValueError):
@@ -38,16 +37,32 @@ class OrderError(ValueError):
 def build_ntd(solver: ElasticitySolver) -> np.ndarray:
     """The (2m, 2m) NtD matrix of the solver's field on the Neumann trace space.
 
-    Column j is the trace of the traction solve for the j-th nodal hat load;
-    the hat loads are solved in blocks against the solver's factorization.
+    The free block in trace-last order factors as L U, and its trailing 2m
+    rows and columns L22, U22 give the trace Schur complement L22 U22, so the
+    matrix is U22^-1 L22^-1 M, M the boundary mass.  The factor lives for this
+    call only.  FemError unless SuperLU left both permutations the identity,
+    which keeps the trace last, and unless one probe load, the sum of the hat
+    loads, solved through the whole factor with its backward-error check,
+    has the trace NtD @ 1 within PROBE_TOL.
     """
     disc = solver.disc
-    coeffs = np.eye(len(disc.trace_dofs))
-    traces = np.empty_like(coeffs)
-    for start in range(0, coeffs.shape[1], NTD_BLOCK):
-        cols = slice(start, start + NTD_BLOCK)
-        traces[:, cols] = solver.solve_neumann(coeffs[:, cols])[disc.trace_dofs]
-    return traces
+    block = SpdBlock(disc.trace_last_pattern.gather(solver.free.K.data))
+    lu, n = block.factor, block.K.shape[0]
+    if not (np.array_equal(lu.perm_r, np.arange(n)) and np.array_equal(lu.perm_c, np.arange(n))):
+        raise FemError("the trace-last factor is permuted, so its trailing block is not the trace's")
+    t = n - len(disc.trace_dofs)  # the first trace row
+    M = disc.boundary_mass
+    L22, U22 = (F[t:, t:].toarray() for F in (lu.L, lu.U))
+    ntd = scipy.linalg.solve_triangular(
+        U22, scipy.linalg.solve_triangular(L22, M.toarray(), lower=True, unit_diagonal=True))
+    ones = np.ones(n - t)
+    B = np.zeros((n, 1))
+    B[t:, 0] = M @ ones
+    probe = block.solve(B)[t:, 0]
+    miss = np.abs(probe - ntd @ ones).max() / np.abs(probe).max()
+    if not miss <= PROBE_TOL:  # NaN counts as a miss
+        raise FemError(f"NtD matrix misses its probe solve by {miss:.3e} relative")
+    return ntd
 
 
 @dataclass(frozen=True)

@@ -1009,6 +1009,15 @@ class TestCli:
         assert not out.exists()
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would print before the one line
+    def test_overflowing_initial_misfit_writes_one_stderr_line(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"loads": [[1e200, 0]]}))
+        code = main(["custom", "--mesh-h", "0.3", "--config", str(cfg), "--out", str(tmp_path / "big")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: misfit at the initial point") and err.count("\n") == 1
+
     def test_invariant_violation_exits_4_after_writing_the_bundle(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ntd, "loewner_gap", lambda a, b: -1.0)
         monkeypatch.setattr(ntd, "monotonicity_sandwich", lambda s1, s2, loads: [(0.0, 1.0, 0.0)] * len(loads))

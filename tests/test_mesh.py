@@ -200,3 +200,17 @@ def test_non_finite_node_rejected(bad):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
     with pytest.raises(MeshError, match="finite"):
         Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]), np.zeros(3, bool))
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("nodes", (3, 3)), ("triangles", (1, 4)), ("boundary_edges", (3, 3)), ("boundary_edges", (6,))],
+    ids=["3-d-nodes", "quadrilateral", "edge-triples", "flat-edges"],
+)
+def test_array_of_the_wrong_shape_rejected(name, shape):
+    # the signed areas read only the first two coordinates of the first three nodes of each triangle
+    arrays = {"nodes": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+              "triangles": np.array([[0, 1, 2]]), "boundary_edges": np.array([[0, 1], [1, 2], [2, 0]])}
+    arrays[name] = np.resize(arrays[name], shape)
+    with pytest.raises(MeshError, match=name):
+        Mesh(**arrays, clamped=np.zeros(3, bool))

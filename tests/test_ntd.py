@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from elastinv import ntd
+from elastinv import fem, ntd
 from elastinv.experiments import ExperimentConfig, run_experiment
-from elastinv.fem import ElasticitySolver, LameField, SurfaceLoad
+from elastinv.fem import ElasticitySolver, FemError, LameField, SurfaceLoad
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from elastinv.ntd import (
     ORDER_TOL,
@@ -89,20 +90,64 @@ def test_block_build_equals_columns(medium_mesh):
         assert np.abs(L[:, j] - col).max() <= 1e-13 * np.abs(col).max()
 
 
+def reference_build_ntd(solver):
+    """The NtD matrix column by column: the trace of the traction solve of
+    each nodal hat load, the loads solved 24 columns at a time."""
+    disc = solver.disc
+    coeffs = np.eye(len(disc.trace_dofs))
+    traces = np.empty_like(coeffs)
+    for start in range(0, coeffs.shape[1], 24):
+        cols = slice(start, start + 24)
+        traces[:, cols] = solver.solve_neumann(coeffs[:, cols])[disc.trace_dofs]
+    return traces
+
+
+LOWER_HALF, UPPER_LEFT = (math.pi, 2.0 * math.pi), (math.pi / 2.0, math.pi)
+
+
+def arc_mesh(arc, target_h=0.16):
+    return partition_boundary(generate_disk_mesh(target_h), BoundaryPartitionSpec(*arc))
+
+
 @pytest.mark.parametrize(
-    "arc, n_loads", [((math.pi, 2.0 * math.pi), 36), ((math.pi / 2.0, math.pi), 54)], ids=["lower-half", "upper-left"]
+    "arc, target_h, n_loads",
+    [(LOWER_HALF, 0.16, 36), (LOWER_HALF, 0.08, 72), (UPPER_LEFT, 0.16, 54), (UPPER_LEFT, 0.08, 112)],
+    ids=["lower-half-0.16", "lower-half-0.08", "upper-left-0.16", "upper-left-0.08"],
 )
-def test_block_width_leaves_the_matrix_bit_identical(monkeypatch, arc, n_loads):
-    """The factor solves a block column by column, so each hat load's trace
-    is the same bits whichever loads share its block."""
-    mesh = partition_boundary(generate_disk_mesh(0.16), BoundaryPartitionSpec(*arc))
+def test_trailing_block_matches_hat_load_solves(arc, target_h, n_loads):
+    """The matrix off the trace-last factor's trailing block is the hat loads'
+    traces to rounding: 1.6e-15 and 7.6e-15 relative on the lower half at
+    h=0.16 and 0.08, 4.5e-15 and 4.5e-14 on the upper left."""
+    mesh = arc_mesh(arc, target_h)
     assert 2 * len(mesh.neumann_nodes) == n_loads
     field = random_field(mesh, np.random.default_rng(13))
-    matrices = []
-    for width in (1, 16, 24, n_loads):
-        monkeypatch.setattr(ntd, "NTD_BLOCK", width)
-        matrices.append(ntd_of(mesh, field).tobytes())
-    assert matrices[1:] == matrices[:-1]
+    L = ntd_of(mesh, field)
+    reference = reference_build_ntd(ElasticitySolver(mesh, field))
+    assert np.abs(L - reference).max() <= 2e-13 * np.abs(reference).max()
+
+
+def test_permuted_factor_rejected(monkeypatch):
+    """A factor whose column order is not the given one no longer ends in the trace."""
+    def permuted(K):
+        return spla.splu(K.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    mesh = arc_mesh(LOWER_HALF)
+    solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(13)))
+    monkeypatch.setattr(fem, "_factor_spd", permuted)
+    with pytest.raises(FemError, match="permuted"):
+        build_ntd(solver)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-10])
+def test_factor_of_another_block_rejected_by_the_probe(monkeypatch, delta):
+    """A factor of K (1 + delta) gives a matrix off by about delta, while the
+    probe's solve, judged against K itself, passes its backward-error check."""
+    factor_spd = fem._factor_spd
+    mesh = arc_mesh(UPPER_LEFT)
+    solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(13)))
+    monkeypatch.setattr(fem, "_factor_spd", lambda K: factor_spd(K * (1.0 + delta)))
+    with pytest.raises(FemError, match="misses its probe"):
+        build_ntd(solver)
 
 
 class TestOrderedPair:

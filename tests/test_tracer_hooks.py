@@ -7,13 +7,12 @@ tracer as it is and checks both.
 """
 
 import importlib.util
-import math
 from pathlib import Path
 
 import pytest
 
-from elastinv import experiments, ntd
-from elastinv.fem import ElasticitySolver, LameField
+from elastinv import experiments
+from elastinv.fem import ElasticitySolver, LameField, SpdBlock
 from elastinv.experiments import ExperimentConfig, build_mesh
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -94,7 +93,7 @@ def test_noisy_row_stops_before_the_cap(tracing):
 
 
 def test_ntd_hat_load_solves_are_counted(tracing):
-    # the 2m hat loads fill one block at h=0.3 and span several at h=0.16
+    # the NtD matrix is read off a factor, at h=0.3 as at h=0.16: no hat load is solved
     for target_h, n_loads in ((0.3, 18), (0.16, 36)):
         config = ExperimentConfig(kind="stability", target_h=target_h, n_pairs=1)
         m = len(build_mesh(config, config.target_h).neumann_nodes)
@@ -108,13 +107,14 @@ def test_ntd_hat_load_solves_are_counted(tracing):
         finally:
             tracer.uninstall()
         metrics, _ = tracing.layer_metrics(tracer)
-        # one NtD per field of the pair, each solving its 2m hat loads in blocks
-        assert metrics["fem.solve_neumann_calls"]["value"] == 2 * math.ceil(2 * m / ntd.NTD_BLOCK)
+        # one NtD per field of the pair, each from the trailing block of its trace-last factor
+        assert metrics["ntd.build_ntd_calls"]["value"] == 2
+        assert metrics["fem.solve_neumann_calls"]["value"] == 0
 
 
 def test_factor_fill_is_counted_per_field(tracing):
-    """Both fields of a pair factor the free block in the mesh's one order,
-    so the traced fill is twice that of one field's factor."""
+    """Both fields of a pair factor the trace-last block in the mesh's one
+    order, so the traced fill is twice that of one field's factor."""
     config = ExperimentConfig(kind="stability", target_h=0.3, n_pairs=1)
     tracer = tracing.Tracer()
     tracer.install()
@@ -127,7 +127,8 @@ def test_factor_fill_is_counted_per_field(tracing):
     metrics, _ = tracing.layer_metrics(tracer)
     # the order, and so the fill, depends on the mesh only
     mesh = build_mesh(config, config.target_h)
-    lu = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements)).free.factor
+    solver = ElasticitySolver(mesh, LameField.constant(1.0, 1.0, mesh.n_elements))
+    lu = SpdBlock(solver.disc.trace_last_pattern.gather(solver.free.K.data)).factor
     assert metrics["fem.factorizations"]["value"] == 2
     assert metrics["fem.factor_nnz"]["value"] == 2 * (lu.L.nnz + lu.U.nnz)
 
@@ -135,9 +136,8 @@ def test_factor_fill_is_counted_per_field(tracing):
 @pytest.mark.parametrize("kind, sandwich_solves", [("stability", 0), ("monotonicity", 2)])
 def test_each_pair_check_builds_its_ntd_matrices_through_the_module(tracing, kind, sandwich_solves):
     """Both NtD pair checks build the two matrices of each pair with ntd.build_ntd,
-    where the tracer patches it, and solve the same hat loads as ever."""
+    where the tracer patches it, and solve no hat load."""
     config = ExperimentConfig(kind=kind, target_h=0.3, n_pairs=2)
-    m = len(build_mesh(config, config.target_h).neumann_nodes)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -148,6 +148,5 @@ def test_each_pair_check_builds_its_ntd_matrices_through_the_module(tracing, kin
         tracer.uninstall()
     metrics, _ = tracing.layer_metrics(tracer)
     assert metrics["ntd.build_ntd_calls"]["value"] == 2 * config.n_pairs
-    # per pair: each field's 2m hat loads in blocks, and the sandwich's one block of loads per field
-    blocks = math.ceil(2 * m / ntd.NTD_BLOCK)
-    assert metrics["fem.solve_neumann_calls"]["value"] == config.n_pairs * (2 * blocks + sandwich_solves)
+    # per pair: the sandwich's one block of loads per field, and none from build_ntd
+    assert metrics["fem.solve_neumann_calls"]["value"] == config.n_pairs * sandwich_solves

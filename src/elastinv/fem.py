@@ -492,10 +492,13 @@ class SpdBlock:
 class ElasticitySolver:
     """Traction and prescribed-trace solves sharing one stiffness per field.
 
-    On first use the field's free block, which traction solves factor, is
-    built from the mesh's stiffness maps, and the interior blocks, which
-    prescribed-trace solves need, are gathered from its data.  Every solve
-    takes a block of right-hand sides, one column per load or trace.
+    On first use the field's free block is built from the mesh's stiffness
+    maps, and the other blocks are gathered from its data: the interior
+    ones, which prescribed-trace solves need, and the free block in
+    trace-last order, which `ntd.build_ntd` factors.  Traction solves go
+    through that trace-last factor once it exists and factor the free block
+    otherwise, so a field factors one free block.  Every solve takes a block
+    of right-hand sides, one column per load or trace.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
@@ -515,6 +518,10 @@ class ElasticitySolver:
     def interior(self) -> SpdBlock:
         return SpdBlock(self.disc.interior_pattern.gather(self.free.K.data))
 
+    @cached_property
+    def trace_last(self) -> SpdBlock:
+        return SpdBlock(self.disc.trace_last_pattern.gather(self.free.K.data))
+
     def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
         """X as a float block on the Neumann trace dofs, or FemError."""
         X = np.asarray(X, dtype=float)
@@ -528,11 +535,14 @@ class ElasticitySolver:
         of load coefficients on disc.trace_dofs, clamped part fixed."""
         disc = self.disc
         coeffs = self._trace_block(coeffs, "load coefficients")
-        rows = disc.free_pattern.rows
-        B = np.zeros((len(rows), coeffs.shape[1]))  # on the free block's rows
-        B[disc.trace_rows] = disc.boundary_mass @ coeffs
+        block, rows, load_rows = self.free, disc.free_pattern.rows, disc.trace_rows
+        trace_last = vars(self).get("trace_last")
+        if trace_last is not None and "factor" in vars(trace_last):  # build_ntd's factor, its trace rows last
+            block, rows, load_rows = trace_last, disc.trace_last_pattern.rows, slice(-len(disc.trace_dofs), None)
+        B = np.zeros((len(rows), coeffs.shape[1]))  # on the block's rows
+        B[load_rows] = disc.boundary_mass @ coeffs
         U = np.zeros((disc.n_dofs, coeffs.shape[1]))
-        U[rows] = self.free.solve(B)
+        U[rows] = block.solve(B)
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:

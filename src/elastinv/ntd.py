@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .fem import (
-    ElasticitySolver, FemError, LameField, RegionParameterization, SpdBlock, SurfaceLoad, load_coefficients,
+    ElasticitySolver, FemError, LameField, RegionParameterization, SurfaceLoad, load_coefficients,
     quadrant_regions, strain_energy_density,
 )
 from .mesh import Mesh
@@ -39,14 +39,15 @@ def build_ntd(solver: ElasticitySolver) -> np.ndarray:
 
     The free block in trace-last order factors as L U, and its trailing 2m
     rows and columns L22, U22 give the trace Schur complement L22 U22, so the
-    matrix is U22^-1 L22^-1 M, M the boundary mass.  The factor lives for this
-    call only.  FemError unless SuperLU left both permutations the identity,
-    which keeps the trace last, and unless one probe load, the sum of the hat
-    loads, solved through the whole factor with its backward-error check,
-    has the trace NtD @ 1 within PROBE_TOL.
+    matrix is U22^-1 L22^-1 M, M the boundary mass.  The factor is the
+    solver's `trace_last`, kept there for its later traction solves.
+    FemError unless SuperLU left both permutations the identity, which keeps
+    the trace last, and unless one probe load, the sum of the hat loads,
+    solved through the whole factor with its backward-error check, has the
+    trace NtD @ 1 within PROBE_TOL.
     """
     disc = solver.disc
-    block = SpdBlock(disc.trace_last_pattern.gather(solver.free.K.data))
+    block = solver.trace_last
     lu, n = block.factor, block.K.shape[0]
     if not (np.array_equal(lu.perm_r, np.arange(n)) and np.array_equal(lu.perm_c, np.arange(n))):
         raise FemError("the trace-last factor is permuted, so its trailing block is not the trace's")

@@ -150,6 +150,71 @@ def test_factor_of_another_block_rejected_by_the_probe(monkeypatch, delta):
         build_ntd(solver)
 
 
+def contrast_field(mesh, rng):
+    """Per-element lam and mu, log-uniform over 1e-2 to 1e2."""
+    return LameField(*10.0 ** rng.uniform(-2.0, 2.0, (2, mesh.n_elements)))
+
+
+@pytest.mark.parametrize("target_h", [0.16, 0.08])
+@pytest.mark.parametrize("arc", [LOWER_HALF, UPPER_LEFT], ids=["lower-half", "upper-left"])
+def test_traction_solves_reuse_the_ntd_factor(monkeypatch, arc, target_h):
+    """After build_ntd a solver's traction solves go through its trace-last
+    factor: one splu call serves both, their displacements are a fresh
+    solver's free-block ones to rounding (at most 2.2e-13 relative over five
+    seeds), and prescribed-trace solves keep their bits."""
+    mesh = arc_mesh(arc, target_h)
+    rng = np.random.default_rng(33)
+    field = contrast_field(mesh, rng)
+    loads, traces = rng.standard_normal((2, 2 * len(mesh.neumann_nodes), 4))
+    fresh = ElasticitySolver(mesh, field)
+    reference, dirichlet = fresh.solve_neumann(loads), fresh.solve_dirichlet(traces)
+    calls = []
+    splu = fem.spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counting)
+    solver = ElasticitySolver(mesh, field)
+    build_ntd(solver)
+    U = solver.solve_neumann(loads)
+    assert calls == [solver.trace_last.K.shape]
+    assert "factor" not in vars(solver.free)
+    assert np.abs(U - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.array_equal(solver.solve_dirichlet(traces), dirichlet)
+
+
+def test_failed_solve_through_the_ntd_factor_raises(monkeypatch):
+    """A traction solve through a kept trace-last factor that is not the
+    block's own fails its backward-error check, as build_ntd's probe does,
+    and does not fall back to factoring the free block."""
+    factor_spd = fem._factor_spd
+    mesh = arc_mesh(UPPER_LEFT)
+    solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(13)))
+    monkeypatch.setattr(fem, "_factor_spd", lambda K: factor_spd(K * 1.01))
+    with pytest.raises(FemError, match="linear solve failed"):
+        build_ntd(solver)
+    monkeypatch.undo()
+    with pytest.raises(FemError, match="linear solve failed"):
+        solver.solve_neumann(np.ones((len(solver.disc.trace_dofs), 1)))
+    assert "factor" not in vars(solver.free)
+
+
+@pytest.mark.parametrize("missing_rows, bad", [(0, np.nan), (0, np.inf), (1, 0.0)], ids=["nan", "inf", "short"])
+def test_solver_holding_the_ntd_factor_refuses_a_bad_load_block(missing_rows, bad):
+    """Both solves still check their block before the kept factor is used."""
+    mesh = arc_mesh(LOWER_HALF)
+    solver = ElasticitySolver(mesh, random_field(mesh, np.random.default_rng(13)))
+    build_ntd(solver)
+    block = np.ones((len(solver.disc.trace_dofs) - missing_rows, 2))
+    block[0, 1] = bad
+    with pytest.raises(FemError, match="load coefficients"):
+        solver.solve_neumann(block)
+    with pytest.raises(FemError, match="trace data"):
+        solver.solve_dirichlet(block)
+
+
 class TestOrderedPair:
     def test_unordered_rejected(self, medium_mesh, field_37, field_11):
         mixed = LameField.constant(5.0, 0.5, medium_mesh.n_elements)

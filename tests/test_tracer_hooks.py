@@ -150,3 +150,20 @@ def test_each_pair_check_builds_its_ntd_matrices_through_the_module(tracing, kin
     assert metrics["ntd.build_ntd_calls"]["value"] == 2 * config.n_pairs
     # per pair: the sandwich's one block of loads per field, and none from build_ntd
     assert metrics["fem.solve_neumann_calls"]["value"] == config.n_pairs * sandwich_solves
+
+
+@pytest.mark.parametrize("kind", ["monotonicity", "stability"])
+def test_each_pair_check_factors_each_field_once(tracing, kind):
+    """build_ntd factors each field's trace-last block, and the monotonicity
+    sandwich's traction solves reuse that factor."""
+    config = ExperimentConfig(kind=kind, target_h=0.3, n_pairs=2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        experiments.run_experiment(config)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    assert metrics["fem.factorizations"]["value"] == 2 * config.n_pairs

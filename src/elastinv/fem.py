@@ -172,8 +172,8 @@ def _node_dofs(nodes: np.ndarray) -> np.ndarray:
 
 class Discretization:
     """Mesh-only data of the P1 space: element gradients, node sets, boundary
-    mass, the strain map and the CSR patterns of the stiffness blocks, each
-    in its fill-reducing order, the free block's with its stiffness maps.
+    mass, the strain map and the CSR patterns of the stiffness blocks, the
+    free and interior ones in fill-reducing order, the free one with its stiffness maps.
 
     Built once per mesh by `discretization` and shared by every solver on that
     mesh.  It keeps no reference to the mesh, so the per-mesh cache does not
@@ -266,15 +266,11 @@ class Discretization:
 
     @cached_property
     def trace_last_pattern(self) -> "BlockPattern":
-        """The free block with the interior nodes first, in the interior
-        block's order, and the Neumann nodes last, its trailing rows trace_dofs."""
-        nodes = np.concatenate([self.interior_pattern.rows[0::2], self.trace_dofs[0::2]]) // 2
+        """The free block in its own order with the Neumann nodes moved last,
+        its trailing rows trace_dofs."""
+        nodes, trace = self.free_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
+        nodes = np.concatenate([nodes[~np.isin(nodes, trace)], trace])
         return self.free_pattern.sub_block(nodes, nodes)
-
-    @cached_property
-    def trace_rows(self) -> np.ndarray:
-        """The rows of the free block that hold trace_dofs, in their order: a traction load's right-hand side."""
-        return self.free_pattern.row_positions(self.trace_dofs)
 
     @cached_property
     def strain_map(self) -> sp.csr_matrix:
@@ -388,18 +384,14 @@ class BlockPattern:
         """The block with each entry's data index as its value."""
         return sp.csr_matrix((np.arange(self.nnz), self.indices, self.indptr), shape=self.shape)
 
-    def row_positions(self, dofs: np.ndarray) -> np.ndarray:
-        """The block rows of dofs, each of which must be one of `rows`."""
-        pos = np.zeros(self.rows.max() + 1, dtype=np.intp)
-        pos[self.rows] = np.arange(len(self.rows))
-        return pos[dofs]
-
     def sub_block(self, row_nodes: np.ndarray, col_nodes: np.ndarray) -> "BlockPattern":
         """The block on some rows and columns of this square block, its
         `source` each entry's data index here: one slice of `positions`,
         which keeps the explicit zero of data index 0."""
         rows, cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
-        block = self.positions()[self.row_positions(rows)][:, self.row_positions(cols)].sorted_indices()
+        pos = np.zeros(self.rows.max() + 1, dtype=np.intp)  # the block row of each of `rows`
+        pos[self.rows] = np.arange(len(self.rows))
+        block = self.positions()[pos[rows]][:, pos[cols]].sorted_indices()
         return BlockPattern(rows, cols, block, block.data)
 
 
@@ -494,11 +486,11 @@ class ElasticitySolver:
 
     On first use the field's free block is built from the mesh's stiffness
     maps, and the other blocks are gathered from its data: the interior
-    ones, which prescribed-trace solves need, and the free block in
-    trace-last order, which `ntd.build_ntd` factors.  Traction solves go
-    through that trace-last factor once it exists and factor the free block
-    otherwise, so a field factors one free block.  Every solve takes a block
-    of right-hand sides, one column per load or trace.
+    ones, for prescribed-trace solves, and the free block with the Neumann
+    nodes last, which `ntd.build_ntd` factors.  A traction solve lays its loads
+    out on the global dofs and solves on the rows of that trace-last factor
+    once it exists, else of the free block, so a field factors one free block.
+    Every solve takes a block of right-hand sides, one column per load or trace.
     """
 
     def __init__(self, mesh: Mesh, field: LameField):
@@ -535,14 +527,13 @@ class ElasticitySolver:
         of load coefficients on disc.trace_dofs, clamped part fixed."""
         disc = self.disc
         coeffs = self._trace_block(coeffs, "load coefficients")
-        block, rows, load_rows = self.free, disc.free_pattern.rows, disc.trace_rows
+        block, rows = self.free, disc.free_pattern.rows
         trace_last = vars(self).get("trace_last")
-        if trace_last is not None and "factor" in vars(trace_last):  # build_ntd's factor, its trace rows last
-            block, rows, load_rows = trace_last, disc.trace_last_pattern.rows, slice(-len(disc.trace_dofs), None)
-        B = np.zeros((len(rows), coeffs.shape[1]))  # on the block's rows
-        B[load_rows] = disc.boundary_mass @ coeffs
+        if trace_last is not None and "factor" in vars(trace_last):  # build_ntd's factor
+            block, rows = trace_last, disc.trace_last_pattern.rows
         U = np.zeros((disc.n_dofs, coeffs.shape[1]))
-        U[rows] = block.solve(B)
+        U[disc.trace_dofs] = disc.boundary_mass @ coeffs
+        U[rows] = block.solve(U[rows])
         return U
 
     def solve_dirichlet(self, traces: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ from elastinv.fem import (
     neumann_mass_matrix,
     release_free_heap,
 )
-from elastinv.experiments import PER_ELEMENT_BOUNDS
+from elastinv import experiments
+from elastinv.experiments import PER_ELEMENT_BOUNDS, ExperimentConfig, build_mesh, run_experiment
 from elastinv.mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 from conftest import interior_energy, random_field, random_trace
 
@@ -264,6 +265,17 @@ class TestAssembly:
         assert "free_pattern" in built
         assert "interior_pattern" not in built and "coupling_pattern" not in built
 
+    @pytest.mark.parametrize("kind", ["stability", "monotonicity"])
+    def test_operator_check_run_builds_no_interior_pattern(self, kind):
+        """The trace-last block is the free block reordered, so the NtD
+        matrices and the sandwich's traction solves order no interior block."""
+        experiments._partitioned_mesh.cache_clear()  # a mesh of its own, so its patterns are built here
+        config = ExperimentConfig(kind=kind, target_h=0.3, n_pairs=2)
+        run_experiment(config)
+        built = vars(discretization(build_mesh(config, 0.3)))
+        assert "trace_last_pattern" in built
+        assert "interior_pattern" not in built and "coupling_pattern" not in built
+
     def test_factor_runs_in_symmetric_mode(self, monkeypatch):
         # a mesh of its own, so its patterns and orders are built here
         mesh = generate_disk_mesh(0.2)
@@ -491,6 +503,19 @@ class TestNeumannSolve:
         solver = ElasticitySolver(medium_mesh, field_37)
         u = solve_load(solver, SurfaceLoad(constant=(0.3, 0.5))).reshape(-1, 2)
         assert np.all(u[medium_mesh.dirichlet_nodes] == 0.0)
+
+    @pytest.mark.parametrize("arc", ARCS, ids=["lower-half", "upper-left"])
+    def test_fresh_solver_solves_through_the_free_factor_bit_for_bit(self, arc):
+        """Without build_ntd's factor a traction solve is the free factor's
+        solve of the free-row right-hand side, bit for bit: the path of the
+        forward runs and the reconstructions."""
+        mesh = partition_boundary(generate_disk_mesh(0.08), BoundaryPartitionSpec(*arc))
+        rng = np.random.default_rng(34)
+        solver = ElasticitySolver(mesh, random_field(mesh, rng))
+        coeffs = rng.standard_normal((len(solver.disc.trace_dofs), 4))
+        U = solver.solve_neumann(coeffs)
+        assert "trace_last" not in vars(solver)
+        assert np.array_equal(U[solver.disc.free_pattern.rows], solver.free.factor.solve(free_rhs(solver, coeffs)))
 
     def test_galerkin_residual(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)

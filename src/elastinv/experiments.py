@@ -327,7 +327,7 @@ def _partitioned_mesh(target_h: float, arc: tuple[float, float]) -> Mesh:
     mesh = generate_disk_mesh(target_h)
     try:
         return partition_boundary(mesh, BoundaryPartitionSpec(*arc))
-    except MeshError as exc:  # the arc holds no boundary edge of this mesh, or all of them
+    except MeshError as exc:  # the arc leaves a boundary part without a node of its own
         raise ConfigError(f"dirichlet_arc {list(arc)} at target_h {target_h}: {exc}") from exc
 
 

@@ -256,21 +256,21 @@ class Discretization:
     # interior and trace nodes are free: these blocks are sliced off the free block
     @cached_property
     def interior_pattern(self) -> "BlockPattern":
-        nodes = _block_order(self._node_graph(), self.interior_nodes, self.coords)
-        return self.free_pattern.sub_block(nodes, nodes)
+        dofs = _node_dofs(_block_order(self._node_graph(), self.interior_nodes, self.coords))
+        return self.free_pattern.sub_block(dofs, dofs)
 
     @cached_property
     def coupling_pattern(self) -> "BlockPattern":
         """The interior x trace block, rows in the interior block's order."""
-        return self.free_pattern.sub_block(self.interior_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2)
+        return self.free_pattern.sub_block(self.interior_pattern.rows, self.trace_dofs)
 
     @cached_property
     def trace_last_pattern(self) -> "BlockPattern":
         """The free block in its own order with the Neumann nodes moved last,
         its trailing rows trace_dofs."""
-        nodes, trace = self.free_pattern.rows[0::2] // 2, self.trace_dofs[0::2] // 2
-        nodes = np.concatenate([nodes[~np.isin(nodes, trace)], trace])
-        return self.free_pattern.sub_block(nodes, nodes)
+        rows = self.free_pattern.rows
+        rows = np.concatenate([rows[~np.isin(rows, self.trace_dofs)], self.trace_dofs])
+        return self.free_pattern.sub_block(rows, rows)
 
     @cached_property
     def strain_map(self) -> sp.csr_matrix:
@@ -384,11 +384,10 @@ class BlockPattern:
         """The block with each entry's data index as its value."""
         return sp.csr_matrix((np.arange(self.nnz), self.indices, self.indptr), shape=self.shape)
 
-    def sub_block(self, row_nodes: np.ndarray, col_nodes: np.ndarray) -> "BlockPattern":
-        """The block on some rows and columns of this square block, its
+    def sub_block(self, rows: np.ndarray, cols: np.ndarray) -> "BlockPattern":
+        """The block on some row and column dofs of this square block, its
         `source` each entry's data index here: one slice of `positions`,
         which keeps the explicit zero of data index 0."""
-        rows, cols = _node_dofs(row_nodes), _node_dofs(col_nodes)
         pos = np.zeros(self.rows.max() + 1, dtype=np.intp)  # the block row of each of `rows`
         pos[self.rows] = np.arange(len(self.rows))
         block = self.positions()[pos[rows]][:, pos[cols]].sorted_indices()
@@ -514,24 +513,23 @@ class ElasticitySolver:
     def trace_last(self) -> SpdBlock:
         return SpdBlock(self.disc.trace_last_pattern.gather(self.free.K.data))
 
-    def _trace_block(self, X: np.ndarray, what: str) -> np.ndarray:
-        """X as a float block on the Neumann trace dofs, or FemError."""
+    def _trace_block(self, X: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """X as a float block on the Neumann trace dofs, or FemError, and the zero (2n, k) block its solve fills."""
         X = np.asarray(X, dtype=float)
         rows = len(self.disc.trace_dofs)
         if X.ndim != 2 or X.shape[0] != rows or not np.all(np.isfinite(X)):
             raise FemError(f"{what} must be a finite ({rows}, k) block, got shape {X.shape}")
-        return X
+        return X, np.zeros((self.disc.n_dofs, X.shape[1]))
 
     def solve_neumann(self, coeffs: np.ndarray) -> np.ndarray:
         """Traction solves: the (2n, k) nodal displacements for a (2m, k) block
         of load coefficients on disc.trace_dofs, clamped part fixed."""
         disc = self.disc
-        coeffs = self._trace_block(coeffs, "load coefficients")
+        coeffs, U = self._trace_block(coeffs, "load coefficients")
         block, rows = self.free, disc.free_pattern.rows
         trace_last = vars(self).get("trace_last")
         if trace_last is not None and "factor" in vars(trace_last):  # build_ntd's factor
             block, rows = trace_last, disc.trace_last_pattern.rows
-        U = np.zeros((disc.n_dofs, coeffs.shape[1]))
         U[disc.trace_dofs] = disc.boundary_mass @ coeffs
         U[rows] = block.solve(U[rows])
         return U
@@ -541,8 +539,7 @@ class ElasticitySolver:
         block of traces on disc.trace_dofs, clamped part fixed; the equation
         holds against interior test functions."""
         disc = self.disc
-        traces = self._trace_block(traces, "trace data")
-        U = np.zeros((disc.n_dofs, traces.shape[1]))
+        traces, U = self._trace_block(traces, "trace data")
         U[disc.trace_dofs] = traces
         B = -(disc.coupling_pattern.gather(self.free.K.data) @ traces)
         U[disc.interior_pattern.rows] = self.interior.solve(B)

@@ -173,18 +173,15 @@ def generate_disk_mesh(target_h: float) -> Mesh:
 def partition_boundary(mesh: Mesh, spec: BoundaryPartitionSpec) -> Mesh:
     """Clamp the boundary edges whose midpoints lie on the spec's arc.
 
-    Returns a new Mesh; raises MeshError if either boundary part comes out
-    empty.
+    Returns a new Mesh; raises MeshError unless each boundary part holds a
+    node of its own (the ends of the clamped arc count as clamped, so one
+    loaded edge leaves no loaded node).
     """
     mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]] + mesh.nodes[mesh.boundary_edges[:, 1]])
     angles = np.mod(np.arctan2(mids[:, 1], mids[:, 0]), 2.0 * math.pi)
     inside = np.mod(angles - spec.theta0, 2.0 * math.pi) < (spec.theta1 - spec.theta0)
-    if inside.all() or not inside.any():
-        raise MeshError("boundary partition leaves one part empty")
     order = np.argsort(angles, kind="stable")
-    return Mesh(
-        mesh.nodes.copy(),
-        mesh.triangles.copy(),
-        mesh.boundary_edges[order],
-        inside[order],
-    )
+    tagged = Mesh(mesh.nodes.copy(), mesh.triangles.copy(), mesh.boundary_edges[order], inside[order])
+    if len(tagged.dirichlet_nodes) == 0 or len(tagged.neumann_nodes) == 0:
+        raise MeshError("boundary partition leaves one part without a node of its own")
+    return tagged

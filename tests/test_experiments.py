@@ -960,6 +960,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "dirichlet_arc" in err and str(arc) in err and "target_h 0.3" in err
 
+    @pytest.mark.parametrize("kind", ["forward", "stability", "monotonicity", "custom", "example1"])
+    def test_arc_that_leaves_no_loaded_node_is_config_error(self, tmp_path, capsys, kind):
+        """At h=0.3 the arc [0.1, 2 pi) leaves one loaded edge, whose two ends
+        are clamped interface nodes: no loaded node, so no NtD matrix and no
+        load to fit."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "dirichlet_arc": [0.1, 2 * math.pi]}))
+        out = tmp_path / "out"
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config error" in err and "dirichlet_arc" in err
+
+    @pytest.mark.parametrize("kind", ["stability", "monotonicity"])
+    def test_narrowest_accepted_arc_runs(self, tmp_path, capsys, kind):
+        """[0.496..., 2 pi) at h=0.3 leaves two loaded edges and one loaded node."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "n_pairs": 2, "dirichlet_arc": [0.4960409453036515, 2 * math.pi]}))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert (out / "results.json").exists()
+
     def test_negative_n_pairs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": 0.3, "n_pairs": -3}))

@@ -147,6 +147,7 @@ def _blocks(solver):
             ("K_free", solver.free.K, disc.free_pattern),
             ("K_interior", solver.interior.K, disc.interior_pattern),
             ("K_it", disc.coupling_pattern.gather(solver.free.K.data), disc.coupling_pattern),
+            ("K_trace_last", solver.trace_last.K, disc.trace_last_pattern),
         ]
     ]
 

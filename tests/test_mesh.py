@@ -122,8 +122,11 @@ def test_partition_conserves_edge_count(medium_mesh):
 
 
 def test_partition_empty_part_rejected(medium_mesh):
-    with pytest.raises(MeshError):
-        partition_boundary(medium_mesh, BoundaryPartitionSpec(0.0, 2 * math.pi - 1e-9))
+    # the second arc leaves one loaded edge at h=0.2, both of whose ends are
+    # clamped interface nodes, so no loaded node
+    for arc in [(0.0, 2 * math.pi - 1e-9), (0.1, 2 * math.pi)]:
+        with pytest.raises(MeshError):
+            partition_boundary(medium_mesh, BoundaryPartitionSpec(*arc))
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, 2 * math.pi, 7.0])

@@ -24,7 +24,7 @@ import numpy as np
 from . import inversion as inv
 from . import ntd
 from .fem import DEFAULT_BOUNDS, ElasticitySolver, LameField, RegionParameterization, SurfaceLoad
-from .mesh import BoundaryPartitionSpec, Mesh, MeshError, generate_disk_mesh, partition_boundary
+from .mesh import MIN_TARGET_H, BoundaryPartitionSpec, Mesh, MeshError, generate_disk_mesh, partition_boundary
 
 SCHEMA_VERSION = 1
 
@@ -105,8 +105,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name != "dirichlet_arc":  # a None arc is the kind's
                 setattr(self, name, _float_array(value, name, shape))
-        if not 0.0 < self.target_h < 1.0:
-            raise ConfigError(f"target_h out of range: {self.target_h!r}")
+        # both mesh sizes, the refined data mesh's too, before any mesh is built
+        if not MIN_TARGET_H <= self.target_h < 1.0:
+            raise ConfigError(f"target_h must lie in [{MIN_TARGET_H}, 1), got {self.target_h!r}")
+        if self.data_mesh == "refine" and self.target_h / 2.0 < MIN_TARGET_H:
+            raise ConfigError(f"target_h {self.target_h!r} puts the refined data mesh (target_h / 2) below {MIN_TARGET_H}")
         try:  # the library checks the other ranges
             inv.InversionConfig(self.rho, self.max_iterations, self.gradient_tolerance)
             inv.NoiseSpec(self.noise)

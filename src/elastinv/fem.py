@@ -26,10 +26,18 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 
 # tolerance of the per-column normwise backward error of every solve.  The
-# backward-stable factorization alone lands near one eps (unrefined solves
-# read at most 1.4 eps, from h=0.25 to h=0.02 and at 1e6 contrast); a column
-# whose refined solution is off by 1e-12 relative reads ~20 eps at h=0.2
+# backward-stable factorization alone lands below one eps (unrefined solves
+# of random columns read at most 0.62 eps on every block, from h=0.25 to
+# h=0.02 and at 1e6 contrast); a column whose refined solution is off by
+# 1e-12 relative reads ~20 eps at h=0.2
 BACKWARD_ERROR_TOL = 16 * np.finfo(float).eps
+
+# SuperLU's column-at-a-time kernel for every block factor: one-column
+# panels and no relaxed supernodes (its defaults are 20 and 10).  Two-dof
+# nodes leave narrow supernodes, so wide panels cost more than they save;
+# the fill is the same
+SUPERLU_PANEL_SIZE = 1
+SUPERLU_RELAX = 1
 
 
 def _glibc_malloc_trim():
@@ -440,7 +448,8 @@ def _factor_spd(K: sp.csr_matrix):
     symmetric mode keeps the fill of a Cholesky factor of the order it is
     given.  K.T is the CSC view of K's own arrays.
     """
-    return spla.splu(K.T, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return spla.splu(K.T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=SUPERLU_RELAX,
+                     panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True})
 
 
 class SpdBlock:

@@ -17,6 +17,10 @@ from scipy.spatial import Delaunay
 
 _AREA_EPS = 1e-14
 
+# the finest target_h a mesh is built at: round(1/h) rings hold about pi/h^2
+# nodes (~31k at h=0.01), so a smaller h only runs out of memory
+MIN_TARGET_H = 0.01
+
 
 class MeshError(ValueError):
     """Invalid mesh input or an operation that would produce an invalid mesh."""
@@ -145,10 +149,10 @@ def generate_disk_mesh(target_h: float) -> Mesh:
 
     The boundary carries the default partition (lower half clamped); use
     partition_boundary to clamp another arc.  Raises MeshError for target_h outside
-    (0, 1).
+    [MIN_TARGET_H, 1).
     """
-    if not (0.0 < target_h < 1.0):
-        raise MeshError(f"target_h must lie in (0, 1), got {target_h!r}")
+    if not (MIN_TARGET_H <= target_h < 1.0):
+        raise MeshError(f"target_h must lie in [{MIN_TARGET_H}, 1), got {target_h!r}")
 
     points, n_outer = _ring_points(target_h)
     tri = Delaunay(points)

@@ -40,7 +40,7 @@ from elastinv.inversion import (
     kohn_vogelius,
     transfer_trace,
 )
-from elastinv.mesh import generate_disk_mesh
+from elastinv.mesh import MIN_TARGET_H, generate_disk_mesh
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -167,6 +167,10 @@ class TestConfig:
             {"target_h": None},
             {"target_h": [0.5, 0.5]},
             {"kind": ["x"]},
+            # meshes of ~pi/h^2 nodes, the refined data mesh's too
+            {"target_h": 1e-9},
+            {"target_h": math.nextafter(MIN_TARGET_H, 0.0)},
+            {"kind": "example2", "target_h": math.nextafter(2.0 * MIN_TARGET_H, 0.0), "data_mesh": "refine"},
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -190,6 +194,8 @@ class TestConfig:
             # a ragged list, whose inner lists numpy holds as entries, reads as the wrong shape
             ({"loads": [[0.1, 0.2], [0.3]]}, "loads must be a non-empty list of pairs"),
             ({"dirichlet_arc": [1.0, [2.0]]}, "dirichlet_arc must be a pair of numbers"),
+            ({"target_h": 1e-9}, "target_h"),
+            ({"kind": "example2", "target_h": 0.019, "data_mesh": "refine"}, "target_h"),
         ],
     )
     def test_range_errors_name_the_config_field(self, bad, name):
@@ -704,9 +710,7 @@ class TestNoiseFloor:
     def test_example1_rows_carry_no_floor(self):
         rows = run_experiment(ExperimentConfig(kind="example1", target_h=0.3)).report["table"]
         assert not any("noise_floor_j" in row for row in rows)
-        assert [row["reason"] for row in rows] == [
-            "gradient tolerance reached", "line search failed", "gradient tolerance reached"
-        ]
+        assert [row["reason"] for row in rows] == ["gradient tolerance reached"] * 3
 
 
 class TestCli:
@@ -731,6 +735,31 @@ class TestCli:
     def test_bad_mesh_h_is_config_error(self, tmp_path, capsys):
         code = main(["forward", "--mesh-h", "5.0", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forward", "--mesh-h", "1e-9"],
+            ["forward", "--mesh-h", repr(math.nextafter(MIN_TARGET_H, 0.0))],
+            ["example2", "--mesh-h", "0.019", "--data-mesh", "refine"],
+            ["example2", "--mesh-h", repr(math.nextafter(2.0 * MIN_TARGET_H, 0.0)), "--data-mesh", "refine"],
+        ],
+        ids=["tiny", "under-floor", "refine-0.019", "refine-under-floor"],
+    )
+    def test_mesh_h_below_floor_is_config_error(self, argv, tmp_path, capsys, monkeypatch):
+        """Refused before any mesh is built: such a mesh holds ~pi/h^2 nodes."""
+        def no_mesh(target_h):
+            raise AssertionError(f"mesh built at target_h {target_h}")
+
+        monkeypatch.setattr(experiments, "generate_disk_mesh", no_mesh)
+        code = main([*argv, "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+        assert "target_h" in capsys.readouterr().err
+
+    def test_refined_data_mesh_at_floor_is_admitted(self):
+        config = ExperimentConfig(kind="example2", target_h=2.0 * MIN_TARGET_H, data_mesh="refine")
+        assert config.target_h / 2.0 == MIN_TARGET_H
 
     def test_bad_config_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -293,8 +293,26 @@ class TestAssembly:
             solver = ElasticitySolver(mesh, LameField.constant(lam, mu, mesh.n_elements))
             solver.solve_neumann(np.ones((2 * m, 1)))
             solver.solve_dirichlet(np.ones((2 * m, 1)))
-        natural = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        natural = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1,
+                   "options": {"SymmetricMode": True}}
         assert calls == [natural] * 4
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_column_kernel_keeps_fill_and_solves_unrefined(self, arc):
+        """Each block's factor fills as SuperLU's default panels and relaxed
+        supernodes do, and its plain solves pass the backward-error check."""
+        mesh = partition_boundary(generate_disk_mesh(0.16), BoundaryPartitionSpec(*arc))
+        rng = np.random.default_rng(36)
+        solver = ElasticitySolver(mesh, random_field(mesh, rng))
+        for block in (solver.free, solver.interior, solver.trace_last):
+            default = fem.spla.splu(block.K.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+            lu = fem._factor_spd(block.K)
+            assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
+            B = rng.standard_normal((block.K.shape[0], 8))
+            X = lu.solve(B)
+            eta = fem._backward_errors(block.norm, X, B, B - block.K @ X)
+            assert np.all(eta <= fem.BACKWARD_ERROR_TOL)
 
 
 class TestOrderingReuse:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastinv import mesh as mesh_module
 from elastinv.mesh import (
+    MIN_TARGET_H,
     BoundaryPartitionSpec,
     Mesh,
     MeshError,
@@ -19,10 +21,27 @@ H02_ELEMENTS = 157
 H02_BOUNDARY_EDGES = 31
 
 
-@pytest.mark.parametrize("h", [0.0, -0.1, 1.0, 2.0])
-def test_target_h_out_of_range_rejected(h):
-    with pytest.raises(MeshError):
+class _RingsBuilt(Exception):
+    pass
+
+
+def _no_rings(target_h):
+    raise _RingsBuilt(target_h)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, 1.0, 2.0, 1e-9, math.nextafter(MIN_TARGET_H, 0.0)])
+def test_target_h_out_of_range_rejected(h, monkeypatch):
+    # refused before any ring: below the floor a mesh holds ~pi/h^2 nodes
+    monkeypatch.setattr(mesh_module, "_ring_points", _no_rings)
+    with pytest.raises(MeshError, match="target_h"):
         generate_disk_mesh(h)
+
+
+def test_target_h_at_floor_admitted(monkeypatch):
+    # admitted means the rings are asked for; they are not built here
+    monkeypatch.setattr(mesh_module, "_ring_points", _no_rings)
+    with pytest.raises(_RingsBuilt):
+        generate_disk_mesh(MIN_TARGET_H)
 
 
 def test_frozen_counts_h02(medium_mesh):

@@ -334,8 +334,9 @@ def _partitioned_mesh(target_h: float, arc: tuple[float, float]) -> Mesh:
         raise ConfigError(f"dirichlet_arc {list(arc)} at target_h {target_h}: {exc}") from exc
 
 
-def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
-    """Area-weighted centroids of the top-decile lam elements, one per half.
+def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float] | None]:
+    """Area-weighted centroids of the top-decile lam elements, one per half,
+    None for a half that holds no such element.
 
     The two bumps sit symmetrically across the line x + y = 0, so the
     top-decile elements are clustered by the sign of x + y.
@@ -348,7 +349,7 @@ def bump_centroids(mesh: Mesh, lam: np.ndarray) -> list[list[float]]:
     for side in (1.0, -1.0):
         mask = side * (cents[:, 0] + cents[:, 1]) > 0
         if not mask.any():
-            out.append([math.nan, math.nan])
+            out.append(None)  # JSON null: a NaN pair would not be JSON
             continue
         w = areas[mask] / areas[mask].sum()
         out.append([float(x) for x in (w @ cents[mask])])

@@ -496,8 +496,8 @@ class ElasticitySolver:
     maps, and the other blocks are gathered from its data: the interior
     ones, for prescribed-trace solves, and the free block with the Neumann
     nodes last, which `ntd.build_ntd` factors.  A traction solve lays its loads
-    out on the global dofs and solves on the rows of that trace-last factor
-    once it exists, else of the free block, so a field factors one free block.
+    out on the global dofs and solves on the rows of that trace-last block
+    once it is built, else of the free block, so a field factors one free block.
     Every solve takes a block of right-hand sides, one column per load or trace.
     """
 
@@ -536,9 +536,8 @@ class ElasticitySolver:
         disc = self.disc
         coeffs, U = self._trace_block(coeffs, "load coefficients")
         block, rows = self.free, disc.free_pattern.rows
-        trace_last = vars(self).get("trace_last")
-        if trace_last is not None and "factor" in vars(trace_last):  # build_ntd's factor
-            block, rows = trace_last, disc.trace_last_pattern.rows
+        if "trace_last" in vars(self):  # built by build_ntd, which factors it at once
+            block, rows = self.trace_last, disc.trace_last_pattern.rows
         U[disc.trace_dofs] = disc.boundary_mass @ coeffs
         U[rows] = block.solve(U[rows])
         return U

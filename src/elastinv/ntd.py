@@ -89,23 +89,20 @@ def monotonicity_sandwich(
       lhs = integral (C1 - C2) strain(u2) : strain(u2),
       mid = <g, NtD(C2) g> - <g, NtD(C1) g>,
       rhs = integral (C1 - C2) strain(u1) : strain(u1),
-    and lhs >= mid >= rhs for any pair of admissible tensors.
+    and lhs >= mid >= rhs for any pair of admissible tensors.  FemError if
+    a term is not finite, as when the loads' energies overflow.
     """
     disc = s1.disc
     dlam = s1.field.lam - s2.field.lam
     dmu = s1.field.mu - s2.field.mu
     coeffs = load_coefficients(s1.mesh, loads)
     U1, U2 = s1.solve_neumann(coeffs), s2.solve_neumann(coeffs)
-    # one contiguous row of (C1 - C2)-weighted densities per load
-    w1, w2 = (strain_energy_density(dlam, dmu, *disc.strains(U)) for U in (U1, U2))
-    M, trace = disc.boundary_mass, disc.trace_dofs
-    terms = []
-    for j in range(len(loads)):
-        # a strided g takes another dot-product path and moves mid in the last bit
-        g = np.ascontiguousarray(coeffs[:, j])
-        mid = float(g @ (M @ U2[trace, j])) - float(g @ (M @ U1[trace, j]))
-        terms.append((float(np.dot(disc.area, w2[j])), mid, float(np.dot(disc.area, w1[j]))))
-    return terms
+    with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows is refused below
+        lhs, rhs = (strain_energy_density(dlam, dmu, *disc.strains(U)) @ disc.area for U in (U2, U1))
+        mid = (coeffs * (disc.boundary_mass @ (U2 - U1)[disc.trace_dofs])).sum(axis=0)
+    if not np.isfinite([lhs, mid, rhs]).all():
+        raise FemError("monotonicity sandwich terms are not finite")
+    return [tuple(map(float, t)) for t in zip(lhs, mid, rhs)]
 
 
 def _symmetrized_eigs(s1: ElasticitySolver, s2: ElasticitySolver) -> np.ndarray:

@@ -64,6 +64,18 @@ UNREAD = [
 ]
 
 
+# every kind at h=0.3 with small caps, and example3 at h=0.5, whose noise-free row after three
+# iterations has no top-decile element on one side of x + y = 0
+STRICT_JSON_RUNS = [
+    (kind, 0.3, {"n_pairs": 1} if "n_pairs" in reads else {"max_iterations": 3} if "max_iterations" in reads else {})
+    for kind, reads in READS.items()
+] + [("example3", 0.5, {"max_iterations": 3})]
+
+
+def refuse_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def unreadable_table(tmp_path, monkeypatch):
     """A regular truth table that os.access refuses to read, as it would for a user without read
@@ -337,7 +349,7 @@ class TestTruthFields:
         cx, cy = mesh.element_centroids.T
         upper, lower = bump_centroids(mesh, np.exp(-5.0 * ((cx - 0.5) ** 2 + (cy - 0.5) ** 2)))
         assert math.dist(upper, [0.5, 0.5]) <= 0.1
-        assert all(math.isnan(c) for c in lower)
+        assert lower is None
 
     def test_unknown_type(self):
         mesh = generate_disk_mesh(0.3)
@@ -493,6 +505,16 @@ class TestBundles:
         bundle = run_experiment(config)
         assert len(bundle.report["ratios"]) == 4
         assert all(r > 0 and np.isfinite(r) for r in bundle.report["ratios"])
+
+    @pytest.mark.parametrize("kind, target_h, caps", STRICT_JSON_RUNS, ids=[f"{k}-h{h}" for k, h, _ in STRICT_JSON_RUNS])
+    def test_bundle_json_is_strict(self, tmp_path, kind, target_h, caps):
+        """results.json and config.json hold no NaN or Infinity, which JSON has not."""
+        bundle = run_experiment(ExperimentConfig(kind=kind, target_h=target_h, **caps))
+        if target_h == 0.5:  # the case that wrote [NaN, NaN]: a noise-free row with one bump lost
+            assert None in bundle.report["table"][0]["bump_centroids"]
+        out = bundle.write(tmp_path / kind)
+        for name in ("results.json", "config.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse_json_constant)
 
     @pytest.mark.parametrize(
         "spelled, floats",
@@ -1069,6 +1091,18 @@ class TestCli:
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("solver failure: misfit at the initial point") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would print before the one line
+    def test_overflowing_sandwich_exits_3_with_one_stderr_line(self, tmp_path, capsys):
+        # finite loads whose sandwich energies overflow: no bundle of -Infinity and NaN terms
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_pairs": 1, "loads": [[1e160, -1.0]]}))
+        out = tmp_path / "mono"
+        code = main(["monotonicity", "--mesh-h", "0.3", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_SOLVER
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and err.count("\n") == 1
 
     def test_invariant_violation_exits_4_after_writing_the_bundle(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ntd, "loewner_gap", lambda a, b: -1.0)

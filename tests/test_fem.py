@@ -536,6 +536,27 @@ class TestNeumannSolve:
         assert "trace_last" not in vars(solver)
         assert np.array_equal(U[solver.disc.free_pattern.rows], solver.free.factor.solve(free_rhs(solver, coeffs)))
 
+    def test_built_trace_last_block_serves_traction_solves(self, monkeypatch, medium_mesh, field_37):
+        """A solver that has built its trace-last block solves tractions on it,
+        factored or not: one splu call, on that block, and none on the free one."""
+        solver = ElasticitySolver(medium_mesh, field_37)
+        shape = solver.trace_last.K.shape
+        calls = []
+        splu = fem.spla.splu
+
+        def recording(A, **kwargs):
+            calls.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "splu", recording)
+        coeffs = load_coefficients(medium_mesh, [SurfaceLoad(constant=(0.1, 0.2))])
+        U = solver.solve_neumann(coeffs)
+        assert len(calls) == 1 and calls[0].shape == shape
+        assert (calls[0] != solver.trace_last.K.T).nnz == 0
+        assert "factor" in vars(solver.trace_last) and "factor" not in vars(solver.free)
+        reference = ElasticitySolver(medium_mesh, field_37).solve_neumann(coeffs)
+        assert np.abs(U - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_galerkin_residual(self, medium_mesh, field_37):
         solver = ElasticitySolver(medium_mesh, field_37)
         g = SurfaceLoad(constant=(0.1, 0.2))

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from elastinv import fem, ntd
 from elastinv.experiments import ExperimentConfig, run_experiment
-from elastinv.fem import ElasticitySolver, FemError, LameField, SurfaceLoad
+from elastinv.fem import ElasticitySolver, FemError, LameField, SurfaceLoad, load_coefficients, strain_energy_density
 from elastinv.mesh import BoundaryPartitionSpec, generate_disk_mesh, partition_boundary
 from elastinv.ntd import (
     ORDER_TOL,
@@ -248,13 +248,36 @@ class TestSandwich:
         assert lhs_ba >= mid_ba >= rhs_ba  # inequality holds in either labeling
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would print before the solver failure
+def test_overflowing_sandwich_raises(medium_mesh, field_37, field_11):
+    """Finite loads whose energies overflow: no term of -inf or NaN, which
+    would pass the sandwich check, since NaN compares false."""
+    with pytest.raises(FemError, match="not finite"):
+        sandwich(medium_mesh, field_11, field_37, SurfaceLoad(constant=(1e160, -1.0)))
+
+
+def reference_sandwich(s1, s2, g):
+    """The sandwich terms of one load, computed load by load: the two
+    (C1 - C2)-weighted energies and the difference of the two pairings."""
+    disc, coeffs = s1.disc, load_coefficients(s1.mesh, [g])
+    u1, u2 = s1.solve_neumann(coeffs)[:, 0], s2.solve_neumann(coeffs)[:, 0]
+    dlam, dmu = s1.field.lam - s2.field.lam, s1.field.mu - s2.field.mu
+    lhs, rhs = (float(disc.area @ strain_energy_density(dlam, dmu, *disc.strains(u[:, None]))[0]) for u in (u2, u1))
+    g, M = coeffs[:, 0], disc.boundary_mass
+    return lhs, float(g @ (M @ u2[disc.trace_dofs])) - float(g @ (M @ u1[disc.trace_dofs])), rhs
+
+
 def test_sandwich_block_equals_per_load(medium_mesh, field_37, field_11):
-    loads = [SurfaceLoad(constant=(0.1, 0.1)), SurfaceLoad(constant=(0.3, 0.5))]
-    block = monotonicity_sandwich(
-        ElasticitySolver(medium_mesh, field_11), ElasticitySolver(medium_mesh, field_37), loads
-    )
-    for terms, g in zip(block, loads):
-        assert np.allclose(terms, sandwich(medium_mesh, field_11, field_37, g), rtol=1e-12, atol=0.0)
+    """The block pass over all loads agrees with one call per load and with
+    the load-by-load reference; only the summation order differs."""
+    field = random_field(medium_mesh, np.random.default_rng(37))
+    loads = [SurfaceLoad(constant=(0.1, 0.1)), SurfaceLoad(constant=(0.3, 0.5)), SurfaceLoad(constant=(-0.2, 0.4))]
+    for f1, f2 in ((field_11, field_37), (field_11, field)):
+        s1, s2 = ElasticitySolver(medium_mesh, f1), ElasticitySolver(medium_mesh, f2)
+        block = monotonicity_sandwich(s1, s2, loads)
+        for terms, g in zip(block, loads):
+            assert np.allclose(terms, sandwich(medium_mesh, f1, f2, g), rtol=1e-12, atol=0.0)
+            assert np.allclose(terms, reference_sandwich(s1, s2, g), rtol=1e-12, atol=0.0)
 
 
 class TestLoewner:

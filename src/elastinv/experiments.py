@@ -9,6 +9,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -141,6 +142,8 @@ class ExperimentConfig:
                 raise ConfigError("a file truth holds one row per inversion-mesh element: it needs data_mesh 'same'")
             _file_truth(self.truth["path"])  # its row count needs the mesh: truth_field checks it
         if recon:
+            if not any(map(any, self.loads)):  # data of zero loads are zero, and any field fits them
+                raise ConfigError(f"loads must not all be zero in a reconstruction, got {self.loads!r}")
             a, b, c, d = recon.bounds
             if not (a <= self.initial[0] <= b and c <= self.initial[1] <= d):
                 raise ConfigError(f"initial must lie in the admissible box {(a, b, c, d)}, got {self.initial!r}")
@@ -163,10 +166,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
         """The config in a JSON file, with the given fields replaced before validation."""
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        with _reading(path, "cannot read config"):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict({**data, **overrides})
@@ -205,20 +206,28 @@ def _check_truth(spec) -> dict:
     return read
 
 
-def _file_truth(path) -> LameField:
-    """The (lam, mu) table of a file truth, or ConfigError unless the path names a readable regular
-    file of two columns of finite moduli in DEFAULT_BOUNDS; each OSError of the path is one too."""
-    try:  # np.loadtxt would block on a FIFO or /dev/zero
+@contextlib.contextmanager
+def _reading(path, what: str):
+    """Guard the block that reads the input file at path: ConfigError "<what> <path>: <reason>" unless
+    the path names a readable regular file, and for each OSError or ValueError (UnicodeDecodeError too)."""
+    try:  # a reader would block on a FIFO and never end on /dev/zero
         if not (Path(path).is_file() and os.access(path, os.R_OK)):
             raise OSError("not a readable regular file")
-        with warnings.catch_warnings():  # np.loadtxt warns on a file of no rows: the shape check reports it
-            warnings.simplefilter("ignore")
-            data = np.loadtxt(path, ndmin=2)
+        yield
+    except (OSError, ValueError) as exc:  # an OSError's str repeats the path; its strerror does not
+        raise ConfigError(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _file_truth(path) -> LameField:
+    """The (lam, mu) table of a file truth, or ConfigError unless the path names a readable regular
+    file of two columns of finite moduli in DEFAULT_BOUNDS."""
+    # np.loadtxt warns on a file of no rows: the shape check reports it
+    with _reading(path, "bad truth file"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        data = np.loadtxt(path, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"expected rows of (lam, mu), got shape {data.shape}")
         return LameField(data[:, 0], data[:, 1])
-    except (OSError, ValueError) as exc:  # an OSError's str repeats the path; its strerror does not
-        raise ConfigError(f"bad truth file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def truth_field(spec: dict, mesh: Mesh) -> LameField:
@@ -429,9 +438,8 @@ def run_reconstruction(config: ExperimentConfig) -> ResultBundle:
         bundle.report["truth_bump_centroids"] = bump_centroids(mesh, truth.lam)
     for i, (eps, rho) in enumerate(recon.settings or [(config.noise, config.rho)]):
         noise = inv.NoiseSpec(eps, config.seed + i)
-        measured = measurements = inv.generate_measurements(data_mesh, truth_data, loads, noise)
-        if data_mesh is not mesh:
-            measurements = inv.MeasurementSet([(g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs])
+        measured = inv.generate_measurements(data_mesh, truth_data, loads, noise)
+        measurements = inv.MeasurementSet([(g, inv.transfer_trace(data_mesh, f, mesh)) for g, f in measured.pairs])
         # the truth's J on the data mesh, where the noisy data were measured
         floor = inv.kohn_vogelius(truth_data, data_mesh, measured, rho)[0] if noise_floor and eps > 0 else None
         target = None if floor is None else DISCREPANCY_TAU * floor

@@ -75,20 +75,18 @@ def generate_measurements(
     mesh: Mesh,
     field: LameField,
     loads: list[SurfaceLoad],
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> MeasurementSet:
-    """Synthetic traces f_k from the traction solves, optionally noisy.
+    """Synthetic traces f_k from the traction solves, with the given noise.
 
     One RNG stream (from noise.seed) covers all loads, so the realization is
-    reproducible per (epsilon, seed).
+    reproducible per (epsilon, seed); the default epsilon 0 keeps every bit.
     """
     solver = ElasticitySolver(mesh, field)
     U = solver.solve_neumann(load_coefficients(mesh, loads))
     # one (m, 2) trace per load; the noise is drawn on this (k, m, 2) stack
     traces = U[solver.disc.trace_dofs].T.reshape(len(loads), -1, 2)
-    if noise is not None:
-        traces = add_noise(traces, noise)
-    return MeasurementSet(list(zip(loads, traces)))
+    return MeasurementSet(list(zip(loads, add_noise(traces, noise))))
 
 
 def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndarray:
@@ -98,7 +96,7 @@ def transfer_trace(data_mesh: Mesh, f: np.ndarray, target_mesh: Mesh) -> np.ndar
     periodic function of the polar angle that vanishes on the clamped arc.
     Values at the target's Neumann nodes are linearly interpolated in that
     angle over the data mesh's whole boundary ring, zero on its clamped
-    nodes (used for inverse-crime control).
+    nodes (inverse-crime control).  On one mesh, f comes back bit for bit.
     """
     ring = np.unique(data_mesh.boundary_edges)
     values = np.zeros((len(ring), 2))
@@ -144,10 +142,9 @@ def kohn_vogelius(
         j += float(np.dot(area, e))
     # numpy sums axis 0 row by row: the same bits as adding the loads in turn
     g_lam, g_mu = d_lam.sum(axis=0), d_mu.sum(axis=0)
-    if rho:
-        j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
-        g_lam += rho * field.lam * area
-        g_mu += rho * field.mu * area
+    j += 0.5 * rho * float(np.dot(area, field.lam**2 + field.mu**2))
+    g_lam += rho * field.lam * area
+    g_mu += rho * field.mu * area
     return j, g_lam, g_mu
 
 

@@ -56,6 +56,8 @@ NON_DEFAULT = {
     "initial": [2.0, 2.0],
     "n_pairs": 2,
 }
+# loads that measure zero traces: no reconstruction kind takes them
+ZERO_LOADS = [[0, 0], [0.0, -0.0]]
 UNREAD = [
     (kind, f.name)
     for kind, reads in READS.items()
@@ -79,13 +81,14 @@ def refuse_json_constant(name):
 @pytest.fixture
 def unreadable_table(tmp_path, monkeypatch):
     """A regular truth table that os.access refuses to read, as it would for a user without read
-    permission (the tests may run as root, who reads every file); write and search access pass."""
+    permission (the tests may run as root, who reads every file); write and search access pass, and
+    every other file, a config file too, reads as before."""
     table = tmp_path / "field.txt"
     table.write_text("2.0 5.0\n" * 50)
     access = os.access
 
     def deny_read(path, mode, *args, **kwargs):
-        return not mode & os.R_OK and access(path, mode, *args, **kwargs)
+        return not (mode & os.R_OK and Path(path) == table) and access(path, mode, *args, **kwargs)
 
     monkeypatch.setattr(os, "access", deny_read)
     return table
@@ -818,6 +821,53 @@ class TestCli:
         bad.write_text(json.dumps([["target_h", 0.25]]))
         code = main(["forward", "--config", str(bad), "--out", str(tmp_path / "y")])
         assert code == EXIT_CONFIG
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe" + '{"target_h": 0.3}'.encode("utf-16-le"))
+        out = tmp_path / "y"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.count(str(cfg)) == 1
+        assert "utf-8" in err
+
+    def test_fifo_config_is_config_error(self, tmp_path, capsys, monkeypatch):
+        """A FIFO would block its reader, so it is refused as no regular file before anything reads it."""
+        monkeypatch.setattr(Path, "read_text", lambda *args, **kwargs: pytest.fail("the config was read"))
+        cfg = tmp_path / "config.json"
+        os.mkfifo(cfg)
+        out = tmp_path / "y"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"config error: cannot read config {cfg}: not a readable regular file\n"
+
+    @pytest.mark.parametrize("kind", ["custom", "example1", "example2"])
+    def test_all_zero_loads_in_a_reconstruction_are_config_error(self, tmp_path, capsys, monkeypatch, kind):
+        """Zero loads measure zero traces, which every field fits: refused before any mesh is built."""
+        monkeypatch.setattr(experiments, "build_mesh", lambda *args: pytest.fail("mesh built"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target_h": 0.3, "loads": ZERO_LOADS}))
+        out = tmp_path / "out"
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "loads" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["forward", "monotonicity"])
+    def test_all_zero_loads_run_where_nothing_is_fit(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "config.json"
+        pairs = {"n_pairs": 1} if kind == "monotonicity" else {}
+        cfg.write_text(json.dumps({"target_h": 0.3, "loads": ZERO_LOADS, **pairs}))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert not json.loads((out / "results.json").read_text()).get("violations")
+
+    def test_one_nonzero_load_makes_a_reconstruction(self):
+        assert ExperimentConfig(kind="custom", loads=[(0, 0), (0, -0.1)]).loads == [(0.0, 0.0), (0.0, -0.1)]
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

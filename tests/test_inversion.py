@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastinv import fem, inversion
-from elastinv.fem import ElasticitySolver, LameField, RegionParameterization, SurfaceLoad, quadrant_regions
+from elastinv.fem import (
+    ElasticitySolver,
+    LameField,
+    RegionParameterization,
+    SurfaceLoad,
+    load_coefficients,
+    quadrant_regions,
+    strain_dot,
+    strain_energy_density,
+)
 from elastinv.inversion import (
     InversionConfig,
     MeasurementSet,
@@ -63,6 +72,14 @@ class TestNoise:
         spec = NoiseSpec(eps, seed)
         assert np.array_equal(add_noise(f, spec), add_noise(f, spec))
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_measurements_default_to_zero_noise(self, medium_mesh, field_37, loads, seed):
+        """No noise argument draws epsilon 0, which scales every trace by exactly 1, whatever the seed."""
+        plain = generate_measurements(medium_mesh, field_37, loads).pairs
+        drawn = generate_measurements(medium_mesh, field_37, loads, NoiseSpec(0.0, seed)).pairs
+        for (_, f), (_, f0) in zip(plain, drawn, strict=True):
+            assert np.array_equal(f, f0) and np.array_equal(np.signbit(f), np.signbit(f0))
+
     def test_epsilon_range_guard(self):
         with pytest.raises(ValueError):
             NoiseSpec(1.0, 0)
@@ -75,7 +92,35 @@ def test_measurements_must_be_nonempty():
         MeasurementSet([])
 
 
+def kv_without_regularizer(field, mesh, measurements):
+    """(J, dJ/dlam, dJ/dmu) of kohn_vogelius with no rho terms at all, from the same solves and sums."""
+    solver = ElasticitySolver(mesh, field)
+    u_n = solver.solve_neumann(load_coefficients(mesh, [g for g, _ in measurements.pairs]))
+    u_d = solver.solve_dirichlet(np.column_stack([np.ravel(f) for _, f in measurements.pairs]))
+    (strain_n, div_n), (strain_d, div_d) = solver.disc.strains(u_n), solver.disc.strains(u_d)
+    area = mesh.element_areas
+    j = 0.0
+    for e in strain_energy_density(field.lam, field.mu, strain_n - strain_d, div_n - div_d):
+        j += float(np.dot(area, e))
+    g_lam = ((div_d**2 - div_n**2) * area).sum(axis=0)
+    g_mu = (2.0 * (strain_dot(strain_d) - strain_dot(strain_n)) * area).sum(axis=0)
+    return j, g_lam, g_mu
+
+
 class TestKohnVogelius:
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    def test_zero_rho_adds_nothing(self, medium_mesh, field_37, loads, eps):
+        """At rho = 0 the regularizer adds +0.0 to J and to every gradient entry: the same bits, signs
+        of zero included, as an evaluation that has no rho terms."""
+        data = generate_measurements(medium_mesh, field_37, loads, NoiseSpec(eps, 3))
+        rng = np.random.default_rng(11)
+        for field in [field_37, *(random_field(medium_mesh, rng) for _ in range(3))]:
+            got = kohn_vogelius(field, medium_mesh, data, 0.0)
+            ref = kv_without_regularizer(field, medium_mesh, data)
+            assert got[0] == ref[0] and math.copysign(1.0, got[0]) == math.copysign(1.0, ref[0])
+            for g, r in zip(got[1:], ref[1:]):
+                assert np.array_equal(g, r) and np.array_equal(np.signbit(g), np.signbit(r))
+
     def test_inverse_crime_vanishes(self, medium_mesh, field_37, crime_measurements):
         j = kohn_vogelius(field_37, medium_mesh, crime_measurements, 0.0)[0]
         assert 0.0 <= j <= 1e-18
@@ -506,13 +551,16 @@ def _arc_mesh(h, arc):
 
 class TestTraceTransfer:
     def test_same_mesh_is_identity(self, loads):
-        """Bit for bit, on both default arcs and a wrapping one: np.interp at
-        its own abscissae adds an exact 0, so a reconstruction on one mesh
-        uses its measured traces as they are."""
-        for h, arc in itertools.product([0.2, 0.08], [*TRANSFER_ARCS, (5.0, 7.0)]):
+        """Bit for bit, signs of zero included, on both default arcs and a
+        wrapping one, noise-free and noisy: np.interp returns the sample
+        itself at its own abscissae, so every reconstruction row may move its
+        traces onto the inversion mesh, one mesh or two."""
+        for h, arc, eps in itertools.product([0.3, 0.2, 0.16, 0.08], [*TRANSFER_ARCS, (5.0, 7.0)], [0.0, 0.03]):
             mesh = _arc_mesh(h, arc)
-            for _, f in generate_measurements(mesh, LameField.constant(3.0, 7.0, mesh.n_elements), loads).pairs:
-                assert np.array_equal(transfer_trace(mesh, f, mesh), f), (h, arc)
+            field = LameField.constant(3.0, 7.0, mesh.n_elements)
+            for _, f in generate_measurements(mesh, field, loads, NoiseSpec(eps, 1)).pairs:
+                moved = transfer_trace(mesh, f, mesh)
+                assert np.array_equal(moved, f) and np.array_equal(np.signbit(moved), np.signbit(f)), (h, arc, eps)
 
     def test_refined_to_coarse_is_close(self, medium_mesh, fine_mesh, loads):
         field_fine = LameField.constant(3.0, 7.0, fine_mesh.n_elements)

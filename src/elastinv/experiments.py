@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import stat
 import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -44,6 +45,12 @@ def _float_array(value, name: str, shape: tuple):
     float tuples.  Strings and booleans, which numpy would read as numbers, and non-finite entries are
     refused, and -0.0 is stored as 0.0, so that 0, 0.0 and -0.0 write one bundle.
     """
+    what = {(): "a number", (2,): "a pair of numbers", (-1, 2): "a non-empty list of pairs"}[shape]
+    level = [value]
+    for _ in range(len(shape) + 1):  # lists past the shape, refused before numpy, whose .flat stops at 32 dimensions
+        level = [v for item in level if isinstance(item, (list, tuple)) for v in item]
+    if level:
+        raise ConfigError(f"{name} must be {what}, got lists nested {len(shape) + 1} or more deep")
     entries = np.asarray(value, dtype=object)
     # numpy holds the inner lists of a ragged list as entries: such a list has no shape
     if any(isinstance(v, (list, tuple, np.ndarray)) for v in entries.flat):
@@ -57,7 +64,6 @@ def _float_array(value, name: str, shape: tuple):
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (-1, m) for n, m in zip(shape, arr.shape)):
-        what = {(): "a number", (2,): "a pair of numbers", (-1, 2): "a non-empty list of pairs"}[shape]
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     stored = arr.tolist()
     return stored if arr.ndim == 0 else tuple(stored) if arr.ndim == 1 else [tuple(pair) for pair in stored]
@@ -208,13 +214,13 @@ def _check_truth(spec) -> dict:
 
 @contextlib.contextmanager
 def _reading(path, what: str):
-    """Guard the block that reads the input file at path: ConfigError "<what> <path>: <reason>" unless
-    the path names a readable regular file, and for each OSError or ValueError (UnicodeDecodeError too)."""
-    try:  # a reader would block on a FIFO and never end on /dev/zero
-        if not (Path(path).is_file() and os.access(path, os.R_OK)):
-            raise OSError("not a readable regular file")
+    """Guard the block that reads the input file at path: ConfigError "<what> <path>: <reason>" unless the
+    path names a regular file, and for each OSError, ValueError (UnicodeDecodeError too) or RecursionError."""
+    try:  # a reader would block on a FIFO and never end on /dev/zero; its open() checks read permission
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError("not a regular file")
         yield
-    except (OSError, ValueError) as exc:  # an OSError's str repeats the path; its strerror does not
+    except (OSError, ValueError, RecursionError) as exc:  # an OSError's str repeats the path; its strerror does not
         raise ConfigError(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 

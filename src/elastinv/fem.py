@@ -156,21 +156,16 @@ def quadrant_regions(mesh: Mesh) -> np.ndarray:
 class SurfaceLoad:
     """Constant surface load on the Neumann boundary, a finite 2-vector.
 
-    It is interpolated into the nodal trace space by load_coefficients.
+    It is interpolated into the nodal trace space by load_coefficients, and the solve refuses any other.
     """
 
     constant: tuple[float, float]
-
-    def __post_init__(self):
-        value = np.asarray(self.constant, dtype=float)
-        if value.shape != (2,) or not np.all(np.isfinite(value)):
-            raise ValueError(f"constant load must be a finite 2-vector, got {self.constant!r}")
 
 
 def load_coefficients(mesh: Mesh, loads: list[SurfaceLoad]) -> np.ndarray:
     """(2m, k) load coefficients on the interleaved Neumann trace dofs, one column per load."""
     m = len(mesh.neumann_nodes)
-    return np.column_stack([np.tile(np.asarray(g.constant, dtype=float), m) for g in loads])
+    return np.stack([np.tile(np.asarray(g.constant, dtype=float), m) for g in loads], axis=1)
 
 
 def _node_dofs(nodes: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import importlib.util
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from elastinv import experiments, fem, inversion, ntd
 from elastinv.cli import (
-    EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, build_parser, check_out, config_from_args, main,
+    EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, build_parser, config_from_args, main,
 )
 from elastinv.experiments import (
     DISCREPANCY_TAU,
@@ -80,18 +81,29 @@ def refuse_json_constant(name):
 
 @pytest.fixture
 def unreadable_table(tmp_path, monkeypatch):
-    """A regular truth table that os.access refuses to read, as it would for a user without read
-    permission (the tests may run as root, who reads every file); write and search access pass, and
-    every other file, a config file too, reads as before."""
+    """A regular truth table without read permission.  A superuser reads every file, so there its
+    reader fails as open() fails for anyone else, with EACCES; every other file reads as before."""
     table = tmp_path / "field.txt"
     table.write_text("2.0 5.0\n" * 50)
-    access = os.access
+    table.chmod(0)
+    loadtxt = np.loadtxt
 
-    def deny_read(path, mode, *args, **kwargs):
-        return not (mode & os.R_OK and Path(path) == table) and access(path, mode, *args, **kwargs)
+    def deny_read(fname, *args, **kwargs):
+        if Path(fname) == table:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(fname))
+        return loadtxt(fname, *args, **kwargs)
 
-    monkeypatch.setattr(os, "access", deny_read)
+    if os.geteuid() == 0:
+        monkeypatch.setattr(np, "loadtxt", deny_read)
     return table
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Fail the test if the run builds a mesh.  The mesh cache is emptied first: a mesh that an
+    earlier test cached would skip the patched generator."""
+    experiments._partitioned_mesh.cache_clear()
+    monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
 
 
 class TestConfig:
@@ -232,6 +244,21 @@ class TestConfig:
         # float() of such an integer raises OverflowError, which no caller takes for a config error
         with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("depth", [33, 40])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("loads", [0.1, 0.2]), ("initial", [1.0, 1.0]), ("target_h", 0.3), ("truth lam", 3.0)],
+        ids=["loads", "initial", "target_h", "truth-lam"],
+    )
+    def test_value_nested_past_its_shape_names_the_field(self, name, value, depth):
+        """numpy iterates no array of more than 32 dimensions: such a value is refused by its nesting."""
+        deep = value
+        for _ in range(depth - np.ndim(value)):
+            deep = [deep]
+        fields = {"truth": {"type": "constant", "lam": deep, "mu": 7.0}} if name == "truth lam" else {name: deep}
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ExperimentConfig(kind="custom", **fields)
 
     def test_unknown_keys_of_mixed_types_are_named(self):
         with pytest.raises(ConfigError, match=r"unknown config keys: \['1', 'x'\]"):
@@ -402,23 +429,34 @@ class TestTruthFields:
         with pytest.raises(ConfigError):
             truth_field({"type": "file", "path": str(path)}, mesh)
 
-    @pytest.mark.parametrize("kind", ["too-long", "directory"])
-    def test_path_that_names_no_regular_file_is_config_error(self, tmp_path, kind):
-        """Each OSError of the path reads "bad truth file", with the config and in truth_field alike,
-        and names the path once (an OSError's own text repeats it)."""
-        spec = {"type": "file", "path": {"too-long": "a" * 5000, "directory": str(tmp_path)}[kind]}
-        with pytest.raises(ConfigError, match="^bad truth file") as from_config:
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [("too-long", "File name too long"), ("directory", "not a regular file"), ("fifo", "not a regular file"),
+         ("missing", "No such file or directory"), ("through-file", "Not a directory")],
+        ids=["too-long", "directory", "fifo", "missing", "through-file"],
+    )
+    def test_path_that_names_no_regular_file_is_config_error(self, tmp_path, monkeypatch, kind, reason):
+        """Each OSError of the path reads "bad truth file" and the system's reason, with the config and
+        in truth_field alike, and names the path once (an OSError's own text repeats it).  A FIFO, which
+        would block its reader, is refused before anything reads it."""
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("the table was read"))
+        os.mkfifo(tmp_path / "fifo")
+        (tmp_path / "file.txt").write_text("2.0 5.0\n")
+        path = {"too-long": "a" * 5000, "directory": tmp_path, "fifo": tmp_path / "fifo",
+                "missing": tmp_path / "missing.txt", "through-file": tmp_path / "file.txt" / "field.txt"}[kind]
+        spec = {"type": "file", "path": str(path)}
+        with pytest.raises(ConfigError, match=f"^bad truth file .*: {reason}$") as from_config:
             ExperimentConfig(kind="forward", truth=spec)
-        with pytest.raises(ConfigError, match="^bad truth file") as from_mesh:
+        with pytest.raises(ConfigError, match=f"^bad truth file .*: {reason}$") as from_mesh:
             truth_field(spec, generate_disk_mesh(0.3))
         for exc in (from_config, from_mesh):
             assert str(exc.value).count(spec["path"]) == 1
 
     def test_unreadable_file_is_config_error(self, unreadable_table):
         spec = {"type": "file", "path": str(unreadable_table)}
-        with pytest.raises(ConfigError, match="^bad truth file .*not a readable regular file"):
+        with pytest.raises(ConfigError, match="^bad truth file .*: Permission denied$"):
             ExperimentConfig(kind="forward", truth=spec)
-        with pytest.raises(ConfigError, match="^bad truth file .*not a readable regular file"):
+        with pytest.raises(ConfigError, match="^bad truth file .*: Permission denied$"):
             truth_field(spec, generate_disk_mesh(0.3))
 
     def test_file_truth_is_read_once_per_run(self, tmp_path, monkeypatch):
@@ -771,12 +809,8 @@ class TestCli:
         ],
         ids=["tiny", "under-floor", "refine-0.019", "refine-under-floor"],
     )
-    def test_mesh_h_below_floor_is_config_error(self, argv, tmp_path, capsys, monkeypatch):
+    def test_mesh_h_below_floor_is_config_error(self, argv, tmp_path, capsys, no_mesh):
         """Refused before any mesh is built: such a mesh holds ~pi/h^2 nodes."""
-        def no_mesh(target_h):
-            raise AssertionError(f"mesh built at target_h {target_h}")
-
-        monkeypatch.setattr(experiments, "generate_disk_mesh", no_mesh)
         code = main([*argv, "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "x").exists()
@@ -842,7 +876,35 @@ class TestCli:
         code = main(["forward", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
-        assert capsys.readouterr().err == f"config error: cannot read config {cfg}: not a readable regular file\n"
+        assert capsys.readouterr().err == f"config error: cannot read config {cfg}: not a regular file\n"
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [("missing", "No such file or directory"), ("through-file", "Not a directory"),
+         ("directory", "not a regular file")],
+        ids=["missing", "through-file", "directory"],
+    )
+    def test_config_path_that_names_no_regular_file_is_config_error(self, tmp_path, capsys, no_mesh, kind, reason):
+        """The stat of the path gives the system's reason, in one line that names the path once."""
+        (tmp_path / "file.json").write_text("{}")
+        cfg = {"missing": tmp_path / "missing.json", "through-file": tmp_path / "file.json" / "config.json",
+               "directory": tmp_path}[kind]
+        out = tmp_path / "y"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"config error: cannot read config {cfg}: {reason}\n"
+
+    def test_config_file_nested_past_the_recursion_limit_is_config_error(self, tmp_path, capsys, no_mesh):
+        """json.loads raises RecursionError on a deep enough file, which the reading guard reports."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 2000 + "]" * 2000)
+        out = tmp_path / "y"
+        code = main(["forward", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("kind", ["custom", "example1", "example2"])
     def test_all_zero_loads_in_a_reconstruction_are_config_error(self, tmp_path, capsys, monkeypatch, kind):
@@ -981,7 +1043,7 @@ class TestCli:
             # integers past the float range, which float() refuses with OverflowError
             ({"kind": "forward", "target_h": 10**400}, ["target_h", "finite"]),
             ({"kind": "forward", "truth": {"type": "constant", "lam": 3, "mu": 10**400}}, ["truth mu", "finite"]),
-            # a path past the file system's name length, which Path.is_file() refuses with OSError
+            # a path past the file system's name length, whose stat fails with OSError
             ({"kind": "forward", "truth": {"type": "file", "path": "a" * 5000}}, ["truth file", "too long"]),
             ({"kind": "forward", "loads": [[0.1, 0.2], [0.3]]}, ["loads", "list of pairs"]),
         ],
@@ -989,9 +1051,8 @@ class TestCli:
              "truth-key-misspelled", "radial-mu-truth-mu", "bumps-truth-lam", "constant-truth-path", "file-truth-mu",
              "target-h-past-float-range", "truth-mu-past-float-range", "file-truth-path-too-long", "ragged-loads"],
     )
-    def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, config, names):
+    def test_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, no_mesh, config, names):
         monkeypatch.chdir(tmp_path)  # where no truth file exists
-        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": 0.3, **config}))
         out = tmp_path / "out"
@@ -1008,11 +1069,9 @@ class TestCli:
          ("1.0 -2.0\n", ["mu", "bounds"]), ("", ["(0, 1)"])],
         ids=["three-columns", "nan", "word", "negative-modulus", "empty"],
     )
-    def test_malformed_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, row, names):
+    def test_malformed_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, no_mesh, row, names):
         """A file truth's table is read with the config, and its error is one stderr line; only its
         row count waits for the mesh."""
-        experiments._partitioned_mesh.cache_clear()  # a cached mesh would skip the patched generator
-        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         table = tmp_path / "field.txt"
         table.write_text(row * 50)
         cfg = tmp_path / "config.json"
@@ -1025,20 +1084,17 @@ class TestCli:
         assert all(name in err for name in ["truth file", str(table), *names])
         assert len(err.splitlines()) == 1
 
-    def test_unreadable_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, unreadable_table):
-        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+    def test_unreadable_file_truth_rejected_before_any_mesh(self, tmp_path, capsys, no_mesh, unreadable_table):
         out = tmp_path / "out"
-        check_out(str(out))  # the stand-in for os.access passes the --out check's write and search access
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"target_h": 0.3, "truth": {"type": "file", "path": str(unreadable_table)}}))
         code = main(["forward", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
-        assert f"bad truth file {unreadable_table}: not a readable regular file" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: bad truth file {unreadable_table}: Permission denied\n"
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
-    def test_out_that_cannot_be_made_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, sub):
-        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
+    def test_out_that_cannot_be_made_is_rejected_before_any_mesh(self, tmp_path, capsys, no_mesh, sub):
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n")
         out = blocker / sub if sub else blocker
@@ -1101,9 +1157,8 @@ class TestCli:
         assert not out.exists()
         assert "target_h" in capsys.readouterr().err
 
-    def test_out_that_is_not_writable_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch):
+    def test_out_that_is_not_writable_is_rejected_before_any_mesh(self, tmp_path, capsys, monkeypatch, no_mesh):
         # os.access stands in for a directory without write permission, which a superuser writes to all the same
-        monkeypatch.setattr(experiments, "generate_disk_mesh", lambda *args: pytest.fail("mesh built"))
         monkeypatch.setattr("elastinv.cli.os.access", lambda path, mode: False)
         out = tmp_path / "out"
         code = main(["forward", "--mesh-h", "0.3", "--out", str(out)])

@@ -26,6 +26,7 @@ from elastinv.fem import (
 )
 from elastinv import experiments
 from elastinv.experiments import PER_ELEMENT_BOUNDS, ExperimentConfig, build_mesh, run_experiment
+from elastinv.inversion import MeasurementSet, generate_measurements, kohn_vogelius
 from elastinv.mesh import BoundaryPartitionSpec, Mesh, generate_disk_mesh, partition_boundary
 from conftest import interior_energy, random_field, random_trace
 
@@ -617,9 +618,30 @@ class TestNeumannSolve:
                 solver.solve_neumann(bad)
 
     @pytest.mark.parametrize("constant", [(1.0, 2.0, 3.0), (1.0,), ((1.0, 2.0),), (np.nan, 0.0), "ab"])
-    def test_load_must_be_finite_2_vector(self, constant):
-        with pytest.raises(ValueError):
-            SurfaceLoad(constant=constant)
+    def test_load_must_be_finite_2_vector(self, medium_mesh, field_37, monkeypatch, constant):
+        """SurfaceLoad checks nothing itself: each solve that takes it refuses it before a block is built."""
+        load = SurfaceLoad(constant=constant)
+        solver = ElasticitySolver(medium_mesh, field_37)
+        monkeypatch.setattr(fem.SpdBlock, "__init__", lambda *args: pytest.fail("block built"))
+        trace = np.zeros((len(medium_mesh.neumann_nodes), 2))
+        for run in (
+            lambda: solver.solve_neumann(load_coefficients(medium_mesh, [load])),
+            lambda: generate_measurements(medium_mesh, field_37, [load]),
+            lambda: kohn_vogelius(field_37, medium_mesh, MeasurementSet([(load, trace)])),
+        ):
+            with pytest.raises((FemError, ValueError)):
+                run()
+        assert "free" not in vars(solver)
+
+    def test_load_of_two_pairs_is_refused_on_one_loaded_node(self):
+        """With one loaded node a 2x2 constant tiles to 2m rows of two columns, like two loads: stacked, it gives a
+        block of three dimensions, which the solve refuses."""
+        config = ExperimentConfig(kind="forward", target_h=0.3, dirichlet_arc=(0.4960409453036515, 2.0 * math.pi))
+        mesh = build_mesh(config, 0.3)
+        assert len(mesh.neumann_nodes) == 1
+        solver = ElasticitySolver(mesh, LameField.constant(3.0, 7.0, mesh.n_elements))
+        with pytest.raises(FemError):
+            solver.solve_neumann(load_coefficients(mesh, [SurfaceLoad(constant=((1.0, 2.0), (3.0, 4.0)))]))
 
 
 class TestDirichletSolve:
